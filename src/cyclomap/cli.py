@@ -206,11 +206,21 @@ def _verdict_exit(args, payload, verdict):
     return 0 if verdict.applicable else 2
 
 
+def _require(args, theorem, *names):
+    """Exit with a usage error when a flag the theorem reads is missing."""
+    missing = [name for name in names if getattr(args, name) is None]
+    if missing:
+        raise CyclomapError(
+            f"crit --theorem {theorem} needs " + ", ".join(f"--{n}" for n in missing)
+        )
+
+
 def _cmd_crit(args, registry):
     theorem = args.theorem
     payload = {"theorem": theorem, "m": args.m}
     if theorem in ("l2", "l3", "2to1", "equal-d", "cor32", "cor33", "cor42",
                    "cor43", "cor54", "cor55"):
+        _require(args, theorem, "field", "ell", "branches")
         F, bm = _branch_map_from_args(args, registry)
         if theorem == "l2":
             verdict = criterion_l2(bm, args.m)
@@ -227,22 +237,27 @@ def _cmd_crit(args, registry):
 
             verdict = getattr(mto1, theorem)(bm)
     elif theorem == "lift":
+        _require(args, theorem, "field", "poly")
         F = _load_field(args, registry)
         poly = parse_polynomial(args.poly, F)
         verdict = lift_to_full_field(poly, F, args.m)
     elif theorem == "cor53":
+        _require(args, theorem, "field", "ell", "a0", "a1", "r0", "r1")
         F = _load_field(args, registry)
         a0 = parse_element(args.a0, F)
         a1 = parse_element(args.a1, F)
         verdict = cor53(F, args.ell, a0, a1, args.r0, args.r1, args.m)
     elif theorem == "cor56":
+        _require(args, theorem, "q", "n", "ell")
         verdict = cor56(args.q, args.n, args.ell, args.m)
     elif theorem == "cor61":
+        _require(args, theorem, "field", "g0", "g1", "r0", "r1")
         F = _load_field(args, registry)
         g0 = parse_polynomial(args.g0, F)
         g1 = parse_polynomial(args.g1, F)
         verdict = cor61(F, g0, g1, args.r0, args.r1, args.m)
     elif theorem == "cor62":
+        _require(args, theorem, "q", "n", "h0", "h1", "r0", "r1")
         from .gf import split_prime_power
 
         p, e = split_prime_power(args.q)
@@ -379,9 +394,9 @@ def _cmd_verify(args, registry, config):
 
     criterion = pick(args.criterion, "criterion", cast=str)
     field_id = pick(args.field, "field", cast=str)
-    if criterion is None or field_id is None:
-        raise CyclomapError("verify needs --criterion and --field (or a config)")
     ell = pick(args.ell, "ell")
+    if criterion is None or field_id is None or ell is None:
+        raise CyclomapError("verify needs --criterion, --field and --ell (or a config)")
     r_min = pick(args.r_min, "r_min", 1)
     r_max = pick(args.r_max, "r_max")
     m_min = pick(args.m_min, "m_min")

@@ -250,7 +250,7 @@ class Polynomial:
 class CosetDecomposition:
     """Partition of a cyclic group into `index` cosets of equal size."""
 
-    __slots__ = ("ctx", "index", "coset_size", "root_of_unity")
+    __slots__ = ("ctx", "index", "coset_size")
 
     def __init__(self, ctx: GroupContext, index: int):
         if index < 1 or ctx.order % index:
@@ -260,7 +260,11 @@ class CosetDecomposition:
         self.ctx = ctx
         self.index = index
         self.coset_size = ctx.order // index
-        self.root_of_unity = ctx.element(self.coset_size)
+
+    @property
+    def root_of_unity(self) -> int:
+        """generator ** coset_size, a primitive index-th root of unity."""
+        return self.ctx.element(self.coset_size)
 
     def coset_of(self, x: int) -> int:
         return self.ctx.dlog(x) % self.index
@@ -357,7 +361,7 @@ class BranchMap:
 
     Exponents are kept as given (criteria read them verbatim) and reduced
     modulo the group order for evaluation; both give the same gcd with the
-    coset size, which is asserted at construction.
+    coset size, because the coset size divides the group order.
     """
 
     __slots__ = (
@@ -385,10 +389,7 @@ class BranchMap:
         self.exponents = tuple(r for _, r in bs)
         self.log_scales = tuple(log_scales)
         self.exponents_mod = tuple(r % N for _, r in bs)
-        mult = tuple(math.gcd(r, s) for _, r in bs)
-        for r, d in zip(self.exponents, mult):
-            assert math.gcd(r % N, s) == d, "gcd must be stable under reduction"
-        self.multiplicities = mult
+        self.multiplicities = tuple(math.gcd(r, s) for _, r in bs)
         self._offsets = tuple(
             i * r + la for i, ((_, r), la) in enumerate(zip(bs, log_scales))
         )
@@ -413,15 +414,6 @@ class BranchMap:
 
     # -- image analysis ---------------------------------------------------------
 
-    def image_exps(self, i: int):
-        """Exponents of the i-th branch image, in progression order."""
-        N = self.decomp.ctx.order
-        ell = self.decomp.index
-        d = self.multiplicities[i]
-        base = self._offsets[i]
-        for j in range(self.decomp.coset_size // d):
-            yield (base + j * ell * d) % N
-
     def branch_image(self, i: int) -> BranchImage:
         d = self.multiplicities[i]
         return BranchImage(
@@ -436,6 +428,8 @@ class BranchMap:
     def relation(self, i: int, j: int) -> BranchRelation:
         """Classify image(i) against image(j) and describe the intersection."""
         ell = self.decomp.index
+        if not (0 <= i < ell and 0 <= j < ell):
+            raise ValueError(f"branch indices {i}, {j} must lie in 0..{ell - 1}")
         s = self.decomp.coset_size
         di, dj = self.multiplicities[i], self.multiplicities[j]
         d = math.gcd(di, dj)
@@ -526,6 +520,3 @@ class BranchMap:
         bs = ",".join(f"({a},{r})" for a, r in self.branches)
         return f"BranchMap[{bs}]"
 
-
-def branch_map(decomp: CosetDecomposition, branches) -> BranchMap:
-    return BranchMap(decomp, branches)

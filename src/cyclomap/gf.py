@@ -3,9 +3,10 @@
 Field elements are plain ints: the base-p encoding of the coefficient
 vector, c0 + c1*p + ... + c_{n-1}*p^(n-1); prime fields store the residue
 itself.  A Field owns its modulus, a primitive generator and, at desk
-scale, full exp/log tables, so multiplicative arithmetic reduces to table
-lookups.  Above the table threshold multiplication falls back to
-polynomial arithmetic and discrete logs to baby-step giant-step.
+scale, full exp/log tables, built on first use, so multiplicative
+arithmetic reduces to table lookups.  Above the table threshold
+multiplication falls back to polynomial arithmetic and discrete logs to
+baby-step giant-step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     ZeroArgument,
 )
 
-#: Largest field order for which exp/log tables are built eagerly.
+#: Largest field order for which a field uses exp/log tables.
 LOG_TABLE_LIMIT = 1 << 22
 
 
@@ -268,18 +269,26 @@ def _is_irreducible(f: list[int], p: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """Immutable GF(p^n) with a pinned modulus and primitive generator.
+    """GF(p^n) with a pinned modulus and primitive generator.
 
-    Safe to share between threads and workers: nothing mutates after
-    construction.
+    Its modulus, generator and arithmetic never change after construction.
+    Fields of order at most ``log_threshold`` use exp/log tables, built
+    once, on the first call that needs them; larger fields use polynomial
+    arithmetic and baby-step giant-step logs, whose baby table is also
+    built on first use.  ``has_log_table`` reports whether the field uses
+    tables, not whether they exist yet.  Safe to share between threads: two
+    threads that race on a first use both build the same tables and one
+    copy is kept.
     """
 
     __slots__ = (
-        "p", "n", "q", "modulus", "generator",
+        "p", "n", "q", "modulus", "generator", "_use_tables",
         "_exp", "_log", "_mask", "_mod_int", "_order_factors", "_bsgs_baby",
     )
 
-    def __init__(self, p, n, modulus, generator, log_threshold=LOG_TABLE_LIMIT):
+    def __init__(self, p, n, modulus, generator=None, log_threshold=LOG_TABLE_LIMIT):
+        """generator=None picks the class of x when n > 1 and it is
+        primitive, else the least primitive element code."""
         self.p = p
         self.n = n
         self.q = p ** n
@@ -291,15 +300,31 @@ class Field:
         else:
             self._mod_int = None
             self._mask = None
-        self.generator = generator
+        self._use_tables = self.q <= log_threshold
         self._exp = None
         self._log = None
         self._bsgs_baby = None
-        self._check_generator_order()
-        if self.q <= log_threshold:
-            self._build_tables()
+        if generator is None:
+            self.generator = self._least_primitive_code()
+        else:
+            self.generator = generator
+            self._check_generator_order()
 
     # -- construction helpers ------------------------------------------------
+
+    def _is_primitive_code(self, code: int) -> bool:
+        return all(
+            self._pow_raw(code, (self.q - 1) // f) != 1 for f in self._order_factors
+        )
+
+    def _least_primitive_code(self) -> int:
+        x_code = self.p  # coefficient vector (0, 1, 0, ...) when n > 1
+        if self.n > 1 and self._is_primitive_code(x_code):
+            return x_code
+        for code in range(1, self.q):
+            if self._is_primitive_code(code):
+                return code
+        raise NotPrimitive("no primitive element found")
 
     def _check_generator_order(self):
         g = self.generator
@@ -314,18 +339,37 @@ class Field:
                     f"generator has order dividing (q-1)/{f}, not q-1"
                 )
 
+    def _load_tables(self) -> bool:
+        """Build the exp/log tables if this field uses them and they do not
+        exist yet; False when the field uses no tables."""
+        if not self._use_tables:
+            return False
+        if self._log is None:
+            self._build_tables()
+        return True
+
     def _build_tables(self):
-        q = self.q
+        q, g = self.q, self.generator
         exp = [0] * (q - 1)
         log = [-1] * q
         acc = 1
-        for k in range(q - 1):
-            exp[k] = acc
-            log[acc] = k
-            acc = self._mul_raw(acc, self.generator)
+        if g == 2 and self.p == 2:
+            # times x: shift, then reduce by the modulus when degree n appears
+            mask, mod_int = self._mask, self._mod_int
+            for k in range(q - 1):
+                exp[k] = acc
+                log[acc] = k
+                acc <<= 1
+                if acc & mask:
+                    acc ^= mod_int
+        else:
+            for k in range(q - 1):
+                exp[k] = acc
+                log[acc] = k
+                acc = self._mul_raw(acc, g)
         if acc != 1:
             raise NotPrimitive("generator does not cycle back to 1")
-        self._exp = exp
+        self._exp = exp  # before _log: a reader that sees _log sees _exp
         self._log = log
 
     # -- raw arithmetic (no tables) -------------------------------------------
@@ -412,14 +456,14 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
+        if self._log is not None or self._load_tables():
             return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._log is not None:
+        if self._log is not None or self._load_tables():
             return self._exp[(-self._log[a]) % (self.q - 1)]
         return self._pow_raw(a, self.q - 2)
 
@@ -434,7 +478,7 @@ class Field:
             if e == 0:
                 return 1
             raise DivisionByZero("negative power of zero")
-        if self._log is not None:
+        if self._log is not None or self._load_tables():
             return self._exp[(self._log[a] * e) % (self.q - 1)]
         if e < 0:
             return self._pow_raw(self.inv(a), -e)
@@ -442,7 +486,7 @@ class Field:
 
     def exp_at(self, k: int) -> int:
         """generator ** k."""
-        if self._exp is not None:
+        if self._exp is not None or self._load_tables():
             return self._exp[k % (self.q - 1)]
         return self.pow(self.generator, k)
 
@@ -450,7 +494,7 @@ class Field:
         """Exponent k in [0, q-2] with generator**k == a; a must be nonzero."""
         if a == 0:
             raise ZeroArgument("discrete log of zero")
-        if self._log is not None:
+        if self._log is not None or self._load_tables():
             return self._log[a]
         return self._dlog_bsgs(a)
 
@@ -475,7 +519,8 @@ class Field:
 
     @property
     def has_log_table(self) -> bool:
-        return self._log is not None
+        """Whether this field uses exp/log tables (built on first use)."""
+        return self._use_tables
 
     @property
     def order_factors(self) -> tuple[int, ...]:
@@ -488,18 +533,9 @@ class Field:
 
     def units(self):
         """Nonzero elements in generator-power order."""
-        if self._exp is not None:
+        if self._exp is not None or self._load_tables():
             return iter(self._exp)
         return (self.exp_at(k) for k in range(self.q - 1))
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroArgument("order of zero")
-        order = self.q - 1
-        for f in self._order_factors:
-            while order % f == 0 and self.pow(a, order // f) == 1:
-                order //= f
-        return order
 
     def in_subfield(self, a: int, q0: int) -> bool:
         """Whether a lies in the subfield of order q0 (q0**k == q required)."""
@@ -519,19 +555,29 @@ def _default_modulus(p: int, n: int) -> tuple[int, ...]:
 
     Coefficient tuples (c0, ..., c_{n-1}) are compared left to right,
     constant term first; deterministic so coset labels reproduce across
-    runs.
+    runs.  When x is primitive modulo f, its norm (-1)^n * c0 generates
+    F_p* (Lidl & Niederreiter, Finite Fields, 3.1), so only such constant
+    terms are tried; c0 = 0 is never one of them.
     """
     q = p ** n
     factors = prime_factors(q - 1)
-    for cs in product(range(p), repeat=n):
-        if cs[0] == 0:
-            continue  # divisible by x
-        f = list(cs) + [1]
-        if not _is_irreducible(f, p, n):
+    p_factors = prime_factors(p - 1)
+    sign = -1 if n % 2 else 1
+    for c0 in range(1, p):
+        if not _is_primitive_root(sign * c0 % p, p, p_factors):
             continue
-        if _x_is_primitive(f, p, q, factors):
-            return tuple(f)
+        for rest in product(range(p), repeat=n - 1):
+            f = [c0, *rest, 1]
+            if not _is_irreducible(f, p, n):
+                continue
+            if _x_is_primitive(f, p, q, factors):
+                return tuple(f)
     raise ReducibleModulus(f"no irreducible degree-{n} modulus over F_{p} found")
+
+
+def _is_primitive_root(g: int, p: int, p_factors) -> bool:
+    """Whether g generates F_p*; p_factors are the prime factors of p - 1."""
+    return all(pow(g, (p - 1) // f, p) != 1 for f in p_factors)
 
 
 def _x_is_primitive(f: list[int], p: int, q: int, factors) -> bool:
@@ -539,14 +585,6 @@ def _x_is_primitive(f: list[int], p: int, q: int, factors) -> bool:
         if _poly_powmod([0, 1], (q - 1) // e, f, p) == [1]:
             return False
     return True
-
-
-def _least_primitive_root(p: int) -> int:
-    factors = prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise NotPrimitive(f"no primitive root modulo {p}")
 
 
 _FIELD_CACHE: dict = {}
@@ -590,15 +628,8 @@ def make_field(p: int, n: int = 1, modulus=None, generator=None,
         if not _is_irreducible(list(mod), p, n):
             raise ReducibleModulus(f"modulus {mod} is reducible over F_{p}")
 
-    # Resolve the generator before building the Field (order checked there).
     if generator is None:
-        if n == 1:
-            gen = 1 if p == 2 else _least_primitive_root(p)
-        else:
-            probe = Field(p, n, mod, generator=_first_code_generator(p, n, mod),
-                          log_threshold=log_threshold)
-            _FIELD_CACHE[key] = probe
-            return probe
+        gen = None  # the Field picks its least primitive code
     elif isinstance(generator, (list, tuple)):
         gen = 0
         for c in reversed(list(generator)):
@@ -611,32 +642,3 @@ def make_field(p: int, n: int = 1, modulus=None, generator=None,
     field = Field(p, n, mod, gen, log_threshold=log_threshold)
     _FIELD_CACHE[key] = field
     return field
-
-
-def _first_code_generator(p: int, n: int, mod: tuple[int, ...]) -> int:
-    """The class of x when primitive, else the least primitive code."""
-    scratch = Field.__new__(Field)
-    scratch.p, scratch.n, scratch.q = p, n, p ** n
-    scratch.modulus = mod
-    scratch._order_factors = prime_factors(scratch.q - 1)
-    if p == 2:
-        scratch._mod_int = sum(c << i for i, c in enumerate(mod))
-        scratch._mask = 1 << n
-    else:
-        scratch._mod_int = None
-        scratch._mask = None
-    scratch._exp = scratch._log = scratch._bsgs_baby = None
-
-    def order_ok(code):
-        return all(
-            scratch._pow_raw(code, (scratch.q - 1) // f) != 1
-            for f in scratch._order_factors
-        )
-
-    x_code = p  # coefficient vector (0, 1, 0, ...)
-    if order_ok(x_code):
-        return x_code
-    for code in range(2, scratch.q):
-        if order_ok(code):
-            return code
-    raise NotPrimitive("no primitive element found")

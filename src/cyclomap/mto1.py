@@ -21,29 +21,29 @@ from .errors import (
     WrongIndex,
 )
 
-ZERO_KEY = -1  # fiber key for the fixed point 0 when classifying over all of F_q
-
-
 class Mto1Report:
-    """Multiplicity histogram, admissible m values, and exceptional sets."""
+    """Multiplicity histogram, admissible m values, and exceptional sets.
 
-    __slots__ = ("domain_size", "histogram", "valid_ms", "_pairs_fn", "_order_key")
+    exceptional_fn(m) lists the domain elements whose fiber size differs
+    from m, 0 first and then by ascending log; it is called only for a
+    valid m whose exceptional set can be nonempty.
+    """
 
-    def __init__(self, domain_size, histogram, valid_ms, pairs_fn, order_key):
+    __slots__ = ("domain_size", "histogram", "valid_ms", "_exceptional_fn")
+
+    def __init__(self, domain_size, histogram, valid_ms, exceptional_fn):
         self.domain_size = domain_size
         self.histogram = histogram
         self.valid_ms = valid_ms
-        self._pairs_fn = pairs_fn
-        self._order_key = order_key
+        self._exceptional_fn = exceptional_fn
 
     def exceptional_of(self, m: int) -> tuple[int, ...]:
         """Domain elements whose fiber size differs from m, by ascending log."""
         if m not in self.valid_ms:
             raise ValueError(f"m={m} is not an admissible multiplicity")
-        fibers = Counter(img for _, img in self._pairs_fn())
-        out = [x for x, img in self._pairs_fn() if fibers[img] != m]
-        out.sort(key=self._order_key)
-        return tuple(out)
+        if self.domain_size % m == 0:
+            return ()  # |exceptional| == domain_size mod m for a valid m
+        return self._exceptional_fn(m)
 
     def check_consistency(self):
         """Histogram identities implied by the definition; used by tests."""
@@ -66,6 +66,19 @@ def _valid_from_fibers(fiber_counts, domain_size) -> frozenset[int]:
     return frozenset(m for m, c in hist.items() if c == domain_size // m)
 
 
+def _pairs_exceptional(pairs_fn, order_key):
+    """exceptional_fn for a report over (element, image) pairs: recounts
+    the fibers of pairs_fn() and sorts the exceptional elements by key."""
+
+    def exceptional(m: int) -> tuple[int, ...]:
+        fibers = Counter(img for _, img in pairs_fn())
+        out = [x for x, img in pairs_fn() if fibers[img] != m]
+        out.sort(key=order_key)
+        return tuple(out)
+
+    return exceptional
+
+
 def classify_pairs(pairs, order_key=None) -> Mto1Report:
     """Oracle classification of explicit (element, image) pairs."""
     pairs = tuple(pairs)
@@ -73,7 +86,8 @@ def classify_pairs(pairs, order_key=None) -> Mto1Report:
     histogram = dict(Counter(fibers.values()))
     valid = _valid_from_fibers(fibers.values(), len(pairs))
     key = order_key or (lambda x: x)
-    return Mto1Report(len(pairs), histogram, valid, lambda: pairs, key)
+    return Mto1Report(len(pairs), histogram, valid,
+                      _pairs_exceptional(lambda: pairs, key))
 
 
 def classify_callable(fn: Callable[[int], int], domain, order_key=None) -> Mto1Report:
@@ -120,16 +134,24 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
     histogram = dict(Counter(counts))
     valid = _valid_from_fibers(counts, size)
 
-    def pairs():
-        for k in range(ctx.order):
-            yield ctx.element(k), bm.eval_exp(k)
-        if include_zero:
-            yield 0, ZERO_KEY
+    def exceptional(m: int) -> tuple[int, ...]:
+        # Branch i maps k = i (mod ell) to the exponent k*r_i + log a_i, so
+        # its exponents step by ell*r_i.  Only exponents whose fiber size
+        # differs from m are looked for, and only their preimages become
+        # elements.
+        odd = {e for e, c in fibers.items() if c != m}
+        ks = []
+        if odd:
+            N, ell = ctx.order, bm.decomp.index
+            for i, (r, la) in enumerate(zip(bm.exponents_mod, bm.log_scales)):
+                start, step = (i * r + la) % N, ell * r
+                ks.extend(i + t * ell for t in range(bm.decomp.coset_size)
+                          if (start + t * step) % N in odd)
+            ks.sort()
+        zero = (0,) if include_zero and m != 1 else ()
+        return zero + tuple(ctx.element(k) for k in ks)
 
-    def order_key(x):
-        return -1 if x == 0 else ctx.dlog(x)
-
-    return Mto1Report(size, histogram, valid, lambda: tuple(pairs()), order_key)
+    return Mto1Report(size, histogram, valid, exceptional)
 
 
 def classify_polynomial(poly: Polynomial, domain: str | tuple = "fqstar") -> Mto1Report:

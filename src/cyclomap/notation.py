@@ -227,8 +227,9 @@ def format_element(field: Field, code: int) -> str:
         return "0"
     if code == 1:
         return "1"
-    k = field.dlog(code)
-    return "g" if k == 1 else f"g^{k}"
+    if code == field.generator:
+        return "g"
+    return f"g^{field.dlog(code)}"
 
 
 def element_json(field: Field, code: int):

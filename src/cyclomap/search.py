@@ -54,14 +54,6 @@ def sample_rng(seed: int, index: int) -> SplitMix64:
     return SplitMix64((seed + index) & _MASK64)
 
 
-_CRITERIA = {
-    "l2": ("l2", 2),
-    "l3": ("l3", 3),
-    "2to1": ("2to1", None),
-    "equal-d": ("equal-d", None),
-}
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Parameter sweep for one criterion over one field and index."""
@@ -300,6 +292,8 @@ def enumerate_mto1(field: Field, ell: int, m: int, a_exp_range=None,
     Every yielded map is re-verified by a second, element-level preimage
     count before it leaves the generator.
     """
+    if m < 1:
+        raise ValueError(f"m={m} must be at least 1")
     decomp = CosetDecomposition(multiplicative_group(field), ell)
     a_lo, a_hi = a_exp_range or (0, field.q - 2)
     r_lo, r_hi = r_range or (1, field.q - 1)

@@ -163,7 +163,7 @@ def classify_wrapped(wm: WrappedMap):
     for k in range(N):
         e = (r * k + h_logs[k % unit_order]) % N
         fibers[e] = fibers.get(e, 0) + 1
-    from .mto1 import Mto1Report, _valid_from_fibers
+    from .mto1 import Mto1Report, _pairs_exceptional, _valid_from_fibers
     from collections import Counter
 
     histogram = dict(Counter(fibers.values()))
@@ -174,7 +174,7 @@ def classify_wrapped(wm: WrappedMap):
             (F.exp_at(k), (r * k + h_logs[k % unit_order]) % N) for k in range(N)
         )
 
-    return Mto1Report(N, histogram, valid, pairs, lambda x: F.dlog(x))
+    return Mto1Report(N, histogram, valid, _pairs_exceptional(pairs, F.dlog))
 
 
 def classify_unit_mapping(g: UnitMapping):

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -86,6 +89,38 @@ def test_exit_codes():
     # usage errors -> 1
     code, _, _ = run_cli(["classify"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--criterion", "l2", "--field", "13"],
+    ["crit", "--theorem", "l2", "--m", "2"],
+    ["crit", "--theorem", "lift", "--field", "13"],
+    ["relation", "--field", "13", "--ell", "2", "--branches", "1:1,1:2",
+     "--i", "5", "--j", "0"],
+    ["enumerate", "--field", "13", "--ell", "2", "--m", "0"],
+])
+def test_incomplete_or_out_of_range_input_is_a_usage_error(argv):
+    # each of these once escaped as a traceback (or, for m=0, scanned the
+    # whole space for nothing)
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_field_info_degree_40_in_a_fresh_process():
+    # the default-modulus search once walked the 2^39 tuples with c0 = 0
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclomap.cli", "--json", "field-info",
+         "--field", "2^40"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert len(payload["modulus"]) == 41 and payload["modulus"][-1] == 1
+    assert payload["log_table"] is False
 
 
 def test_worked_examples_single_invocations():

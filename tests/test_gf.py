@@ -1,4 +1,6 @@
 import math
+import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,16 @@ from cyclomap.errors import (
     ReducibleModulus,
     ZeroArgument,
 )
-from cyclomap.gf import ProgressionKind, divisors, is_prime, prime_factors
+from cyclomap.gf import (
+    Field,
+    ProgressionKind,
+    _default_modulus,
+    _is_irreducible,
+    _x_is_primitive,
+    divisors,
+    is_prime,
+    prime_factors,
+)
 from cyclomap.search import SplitMix64
 
 
@@ -94,6 +105,69 @@ def test_bsgs_path_matches_table():
         assert raw.dlog(x) == tabled.dlog(x)
         assert raw.mul(x, 7) == tabled.mul(x, 7)
         assert raw.pow(x, 29) == tabled.pow(x, 29)
+
+
+def _reference_default_modulus(p, n):
+    """The modulus search without pre-filters: every c0 != 0 in lex order."""
+    q = p ** n
+    factors = prime_factors(q - 1)
+    for cs in product(range(p), repeat=n):
+        f = list(cs) + [1]
+        if cs[0] and _is_irreducible(f, p, n) and _x_is_primitive(f, p, q, factors):
+            return tuple(f)
+    return None
+
+
+def test_default_modulus_matches_unfiltered_search():
+    fields = [(p, n) for p in range(2, 56) if is_prime(p)
+              for n in range(2, 12) if p ** n <= 5 ** 5]
+    assert len(fields) == 37
+    for p, n in fields:
+        assert _default_modulus(p, n) == _reference_default_modulus(p, n), (p, n)
+
+
+def test_default_modulus_large_prime_quadratic_is_fast():
+    # Each candidate costs a distinct-degree test, nothing linear in p.
+    start = time.perf_counter()
+    F = make_field(1000003, 2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"make_field(1000003, 2) took {elapsed:.2f}s"
+    f = list(F.modulus)
+    assert f[-1] == 1 and _is_irreducible(f, F.p, 2)
+    assert _x_is_primitive(f, F.p, F.q, prime_factors(F.q - 1))
+    assert F.generator == F.p and not F.has_log_table
+
+
+def _non_x_generator(p, n):
+    """A primitive element code other than x, found in the default field."""
+    F = make_field(p, n)
+    k = next(k for k in range(2, F.q - 1) if math.gcd(k, F.q - 1) == 1)
+    return F.exp_at(k)
+
+
+@pytest.mark.parametrize("p,n,non_x", [
+    (31, 1, False), (2, 9, False), (3, 5, False), (2, 9, True), (3, 5, True),
+])
+def test_tables_built_on_first_use_match_raw_powers(p, n, non_x):
+    base = make_field(p, n)
+    gen = _non_x_generator(p, n) if non_x else None
+    F = Field(p, n, base.modulus, gen)  # uncached, so no tables yet
+    assert F.has_log_table and F._log is None
+    assert (F.generator == p) is (n > 1 and not non_x)
+    rng = SplitMix64(p * 100 + n)
+    for k in [0, 1, F.q - 2] + [rng.randrange(F.q - 1) for _ in range(200)]:
+        x = F._pow_raw(F.generator, k)
+        assert F.exp_at(k) == x
+        assert F.dlog(x) == k
+    assert F._log is not None
+
+
+def test_field_above_threshold_never_builds_tables():
+    F = make_field(2, 10, log_threshold=512)
+    assert not F.has_log_table
+    assert F.mul(F.exp_at(700), F.generator) == F.exp_at(701)
+    assert F.dlog(F.exp_at(700)) == 700
+    assert F._log is None and F._exp is None
 
 
 def test_coeffs_roundtrip():

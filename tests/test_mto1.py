@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -105,6 +106,31 @@ def test_exceptional_order_is_ascending_log(f13):
     exc = rep.exceptional_of(8)
     logs = [f13.dlog(x) for x in exc]
     assert logs == sorted(logs)
+
+
+def test_exceptional_sets_match_element_recount(f13, f17, f25, f64):
+    # the fiber-table path against a recount over elements, on both domains
+    rng = SplitMix64(31)
+    uneven = 0
+    for F in (f13, f17, f25, f64):
+        N = F.q - 1
+        for ell in divisors(N):
+            dec = decompose(multiplicative_group(F), ell)
+            for _ in range(6):
+                bm = BranchMap(dec, [(F.exp_at(rng.randrange(N)), 1 + rng.randrange(N))
+                                     for _ in range(ell)])
+                for domain in ("fqstar", "fq"):
+                    rep = classify_branch_map(bm, include_zero=(domain == "fq"))
+                    image = {x: bm.eval(x) for x in range(1, F.q)}
+                    if domain == "fq":
+                        image[0] = 0
+                    fibers = Counter(image.values())
+                    for m in rep.valid_ms:
+                        want = sorted((x for x in image if fibers[image[x]] != m),
+                                      key=lambda x: -1 if x == 0 else F.dlog(x))
+                        assert rep.exceptional_of(m) == tuple(want), (bm, domain, m)
+                        uneven += rep.domain_size % m != 0
+    assert uneven >= 20  # valid m with a nonempty exceptional set
 
 
 def test_branch_map_fast_path_matches_generic(f13):
