@@ -41,6 +41,7 @@ from .notation import (
     parse_config,
     parse_element,
     parse_field_id,
+    parse_generator,
     parse_polynomial,
 )
 from .search import SweepSpec, differential_verify, enumerate_mto1
@@ -96,13 +97,11 @@ def _load_field(args, registry):
         if getattr(args, "modulus", None)
         else None
     )
-    generator = None
-    if getattr(args, "generator", None):
-        text = args.generator.strip()
-        if text.startswith("["):
-            generator = [int(c) for c in text[1:-1].split(",")]
-        else:
-            generator = int(text)
+    generator = (
+        parse_generator(args.generator)
+        if getattr(args, "generator", None)
+        else None
+    )
     return field_from_id(args.field, registry, modulus=modulus, generator=generator)
 
 

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedContext,
     ZeroArgument,
 )
-from .gf import Field, _inverse_mod
+from .gf import Field, ProgressionKind, residue_progression_relation
 
 
 class GroupContext:
@@ -323,22 +323,6 @@ class RelationKind(Enum):
 
 
 @dataclass(frozen=True)
-class ExpProgression:
-    ctx: GroupContext
-    base: int
-    step: int
-    count: int
-
-    @property
-    def elements(self) -> frozenset[int]:
-        N = self.ctx.order
-        return frozenset(
-            self.ctx.element((self.base + t * self.step) % N)
-            for t in range(self.count)
-        )
-
-
-@dataclass(frozen=True)
 class BranchRelation:
     """Verdict on how two branch images intersect, with the witness data."""
 
@@ -347,13 +331,7 @@ class BranchRelation:
     lcm: int
     shift: int
     x0: int | None
-    intersection: ExpProgression | None
-
-    @property
-    def intersection_elements(self) -> frozenset[int]:
-        if self.intersection is None:
-            return frozenset()
-        return self.intersection.elements
+    intersection_elements: frozenset[int]
 
 
 class BranchMap:
@@ -430,22 +408,19 @@ class BranchMap:
         ell = self.decomp.index
         if not (0 <= i < ell and 0 <= j < ell):
             raise ValueError(f"branch indices {i}, {j} must lie in 0..{ell - 1}")
-        s = self.decomp.coset_size
+        # Shifted by off_j, image(j) is {ell*dj*x} and image(i) is
+        # {ell*di*y + off_i - off_j}, modulo the group order.
+        N = self.decomp.ctx.order
         di, dj = self.multiplicities[i], self.multiplicities[j]
-        d = math.gcd(di, dj)
-        dbar = di * dj // d
         c = self._offsets[i] - self._offsets[j]
-        if c % (ell * d):
-            return BranchRelation(RelationKind.DISJOINT, d, dbar, c, None, None)
-        a_bar = _inverse_mod(dj // d, di // d)
-        x0 = a_bar * (c // (ell * d))
-        prog = ExpProgression(
-            ctx=self.decomp.ctx,
-            base=(self._offsets[j] + ell * dj * x0) % self.decomp.ctx.order,
-            step=ell * dbar,
-            count=s // dbar,
+        rel = residue_progression_relation(ell * dj, ell * di, c, N)
+        inter = frozenset(
+            self.decomp.ctx.element((self._offsets[j] + e) % N)
+            for e in rel.elements()
         )
-        if di == dj:
+        if rel.kind is ProgressionKind.DISJOINT:
+            kind = RelationKind.DISJOINT
+        elif di == dj:
             kind = RelationKind.EQUAL
         elif di % dj == 0:
             kind = RelationKind.FIRST_IN_SECOND
@@ -453,7 +428,7 @@ class BranchMap:
             kind = RelationKind.SECOND_IN_FIRST
         else:
             kind = RelationKind.OVERLAP
-        return BranchRelation(kind, d, dbar, c, x0, prog)
+        return BranchRelation(kind, rel.d // ell, rel.lcm_ab // ell, c, rel.x0, inter)
 
     # -- polynomial expansion -----------------------------------------------------
 

@@ -24,6 +24,7 @@ from .errors import (
 class Mto1Report:
     """Multiplicity histogram, admissible m values, and exceptional sets.
 
+    Built from the sizes of a fiber table (image -> number of preimages).
     exceptional_fn(m) lists the domain elements whose fiber size differs
     from m, 0 first and then by ascending log; it is called only for a
     valid m whose exceptional set can be nonempty.
@@ -31,10 +32,9 @@ class Mto1Report:
 
     __slots__ = ("domain_size", "histogram", "valid_ms", "_exceptional_fn")
 
-    def __init__(self, domain_size, histogram, valid_ms, exceptional_fn):
-        self.domain_size = domain_size
-        self.histogram = histogram
-        self.valid_ms = valid_ms
+    def __init__(self, fiber_sizes, exceptional_fn):
+        self.domain_size, histogram, self.valid_ms = _multiplicities(fiber_sizes)
+        self.histogram = dict(histogram)
         self._exceptional_fn = exceptional_fn
 
     def exceptional_of(self, m: int) -> tuple[int, ...]:
@@ -61,33 +61,28 @@ class Mto1Report:
         )
 
 
-def _valid_from_fibers(fiber_counts, domain_size) -> frozenset[int]:
-    hist = Counter(fiber_counts)
-    return frozenset(m for m, c in hist.items() if c == domain_size // m)
+def _multiplicities(fiber_sizes) -> tuple[int, Counter, frozenset[int]]:
+    """(domain size, histogram, valid m) of a fiber table's sizes.
 
-
-def _pairs_exceptional(pairs_fn, order_key):
-    """exceptional_fn for a report over (element, image) pairs: recounts
-    the fibers of pairs_fn() and sorts the exceptional elements by key."""
-
-    def exceptional(m: int) -> tuple[int, ...]:
-        fibers = Counter(img for _, img in pairs_fn())
-        out = [x for x, img in pairs_fn() if fibers[img] != m]
-        out.sort(key=order_key)
-        return tuple(out)
-
-    return exceptional
+    m is valid when exactly domain_size // m images have m preimages.
+    """
+    size = sum(fiber_sizes)
+    histogram = Counter(fiber_sizes)
+    return size, histogram, frozenset(
+        m for m, c in histogram.items() if c == size // m
+    )
 
 
 def classify_pairs(pairs, order_key=None) -> Mto1Report:
     """Oracle classification of explicit (element, image) pairs."""
     pairs = tuple(pairs)
     fibers = Counter(img for _, img in pairs)
-    histogram = dict(Counter(fibers.values()))
-    valid = _valid_from_fibers(fibers.values(), len(pairs))
-    key = order_key or (lambda x: x)
-    return Mto1Report(len(pairs), histogram, valid,
-                      _pairs_exceptional(lambda: pairs, key))
+
+    def exceptional(m: int) -> tuple[int, ...]:
+        return tuple(sorted((x for x, img in pairs if fibers[img] != m),
+                            key=order_key))
+
+    return Mto1Report(fibers.values(), exceptional)
 
 
 def classify_callable(fn: Callable[[int], int], domain, order_key=None) -> Mto1Report:
@@ -107,15 +102,14 @@ def branch_map_fibers(bm: BranchMap) -> dict[int, int]:
     return fibers
 
 
+def _fiber_sizes(fibers: dict[int, int], include_zero: bool):
+    """Fiber sizes over the group, plus the fiber {0} of 0 -> 0 with include_zero."""
+    return [*fibers.values(), 1] if include_zero else fibers.values()
+
+
 def branch_map_valid_ms(bm: BranchMap, include_zero: bool = False) -> frozenset[int]:
     """Admissible m set by brute force; fast path for sweeps."""
-    fibers = branch_map_fibers(bm)
-    counts = list(fibers.values())
-    size = bm.decomp.ctx.order
-    if include_zero:
-        counts.append(1)  # 0 maps to 0 and nothing else hits 0
-        size += 1
-    return _valid_from_fibers(counts, size)
+    return _multiplicities(_fiber_sizes(branch_map_fibers(bm), include_zero))[2]
 
 
 def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
@@ -127,12 +121,6 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
     """
     fibers = branch_map_fibers(bm)
     ctx = bm.decomp.ctx
-    size = ctx.order + (1 if include_zero else 0)
-    counts = list(fibers.values())
-    if include_zero:
-        counts.append(1)
-    histogram = dict(Counter(counts))
-    valid = _valid_from_fibers(counts, size)
 
     def exceptional(m: int) -> tuple[int, ...]:
         # Branch i maps k = i (mod ell) to the exponent k*r_i + log a_i, so
@@ -151,7 +139,7 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
         zero = (0,) if include_zero and m != 1 else ()
         return zero + tuple(ctx.element(k) for k in ks)
 
-    return Mto1Report(size, histogram, valid, exceptional)
+    return Mto1Report(_fiber_sizes(fibers, include_zero), exceptional)
 
 
 def classify_polynomial(poly: Polynomial, domain: str | tuple = "fqstar") -> Mto1Report:

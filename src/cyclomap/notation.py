@@ -166,7 +166,10 @@ def parse_polynomial(text: str, field: Field, unit: GroupContext | None = None,
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    return _Parser(tokens, field, unit, eps_exp).parse()
+    try:
+        return _Parser(tokens, field, unit, eps_exp).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
 
 
 def parse_element(text: str, field: Field, unit: GroupContext | None = None,
@@ -267,13 +270,15 @@ def field_from_id(field_id: str, registry: dict[str, str] | None = None,
         if modulus is None and f"{key_id}.modulus" in registry:
             modulus = [int(c) for c in registry[f"{key_id}.modulus"].split(",")]
         if generator is None and f"{key_id}.generator" in registry:
-            generator = _parse_generator_value(registry[f"{key_id}.generator"])
+            generator = parse_generator(registry[f"{key_id}.generator"])
     return make_field(p, n, modulus=modulus, generator=generator)
 
 
-def _parse_generator_value(text: str):
+def parse_generator(text: str):
+    """A generator given as an element code or as '[c0,c1,...]'."""
     text = text.strip()
-    if text.startswith("["):
-        inner = text[1:-1] if text.endswith("]") else text[1:]
-        return [int(c) for c in inner.split(",")]
-    return int(text)
+    if not text.startswith("["):
+        return int(text)
+    if not text.endswith("]"):
+        raise ParseError(f"generator {text!r} has no closing ']'")
+    return [int(c) for c in text[1:-1].split(",")]

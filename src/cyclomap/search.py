@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -98,9 +98,10 @@ class MismatchReport:
     elapsed: float = 0.0
 
     def merge(self, other: "MismatchReport") -> "MismatchReport":
-        assert (self.criterion, self.field_id, self.ell) == (
+        if (self.criterion, self.field_id, self.ell) != (
             other.criterion, other.field_id, other.ell,
-        )
+        ):
+            raise ValueError("cannot merge reports of different sweeps")
         merged = MismatchReport(
             self.criterion, self.field_id, self.ell, self.mode, self.seed,
             self.ranges,
@@ -199,12 +200,16 @@ def differential_verify(spec: SweepSpec, *, criterion_fn=None, jobs: int = 1,
         )
     if criterion_fn is not None and jobs > 1:
         raise ValueError("criterion_fn injection requires jobs=1")
-    if jobs > 1:
-        chunk = (n_maps + jobs - 1) // jobs
+    # more workers than maps or CPUs only adds process start-up
+    workers = min(jobs, n_maps, os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = (n_maps + workers - 1) // workers
         bounds = [
             (lo, min(lo + chunk, n_maps)) for lo in range(0, n_maps, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
             parts = list(
                 pool.map(_run_chunk, [(spec, lo, hi) for lo, hi in bounds])
             )

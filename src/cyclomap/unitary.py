@@ -4,7 +4,8 @@ f(x) = x^r h(x^(q-1)) on GF(q^2)* corresponds to g(x) = x^r h(x)^(q-1) on
 the norm-one subgroup U of order q+1.  When g acts as a monomial on each
 coset of a subgroup of U the branch criteria apply verbatim with the unit
 generator's logs; otherwise g is classified directly (it only has q+1
-points).  Binomial/trinomial families with closed-form multiplicity
+points).  The oracle classifies f itself as the index-(q+1) cyclotomic map
+it is.  Binomial/trinomial families with closed-form multiplicity
 predictions are constructed here as well.
 """
 
@@ -18,6 +19,7 @@ from .cyclotomic import (
     CosetDecomposition,
     GroupContext,
     Polynomial,
+    multiplicative_group,
     subgroup_of_order,
     unit_circle,
 )
@@ -31,6 +33,7 @@ from .errors import (
 from .gf import Field, make_field, split_prime_power
 from .mto1 import (
     CriterionVerdict,
+    classify_branch_map,
     classify_pairs,
     criterion_equal_d,
     criterion_l2,
@@ -146,35 +149,22 @@ def infer_monomial_branches(g: UnitMapping, ell: int) -> BranchMap | None:
 # ---------------------------------------------------------------------------
 
 def classify_wrapped(wm: WrappedMap):
-    """Oracle classification of f over GF(q^2)* (exponent-table fast path)."""
+    """Oracle classification of f over GF(q^2)*, as a cyclotomic map.
+
+    x = g^k has x^(q-1) = zeta0^(k mod q+1) with zeta0 = g^(q-1), so f is
+    the index-(q+1) branch map of GF(q^2)* with branches (h(zeta0^i), r)
+    and is classified as one.
+    """
     F = wm.field
     q = wm.base_q
-    N = F.q - 1
-    unit_order = q + 1
-    # x = g^k has x^(q-1) = zeta0^(k mod q+1) for the default zeta0 = g^(q-1)
-    h_logs = []
-    for j in range(unit_order):
+    branches = []
+    for j in range(q + 1):
         val = wm.h.eval(F.exp_at((q - 1) * j))
         if val == 0:
             raise RootOnUnitCircle("h vanishes on the unit circle", point=j)
-        h_logs.append(F.dlog(val))
-    fibers: dict[int, int] = {}
-    r = wm.r % N
-    for k in range(N):
-        e = (r * k + h_logs[k % unit_order]) % N
-        fibers[e] = fibers.get(e, 0) + 1
-    from .mto1 import Mto1Report, _pairs_exceptional, _valid_from_fibers
-    from collections import Counter
-
-    histogram = dict(Counter(fibers.values()))
-    valid = _valid_from_fibers(fibers.values(), N)
-
-    def pairs():
-        return tuple(
-            (F.exp_at(k), (r * k + h_logs[k % unit_order]) % N) for k in range(N)
-        )
-
-    return Mto1Report(N, histogram, valid, _pairs_exceptional(pairs, F.dlog))
+        branches.append((val, wm.r))
+    decomp = CosetDecomposition(multiplicative_group(F), q + 1)
+    return classify_branch_map(BranchMap(decomp, branches))
 
 
 def classify_unit_mapping(g: UnitMapping):

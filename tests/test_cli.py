@@ -98,10 +98,12 @@ def test_exit_codes():
     ["relation", "--field", "13", "--ell", "2", "--branches", "1:1,1:2",
      "--i", "5", "--j", "0"],
     ["enumerate", "--field", "13", "--ell", "2", "--m", "0"],
+    ["classify", "--field", "5", "--poly", "(" * 3000 + "x" + ")" * 3000],
+    ["field-info", "--field", "13", "--generator", "[2"],
 ])
 def test_incomplete_or_out_of_range_input_is_a_usage_error(argv):
     # each of these once escaped as a traceback (or, for m=0, scanned the
-    # whole space for nothing)
+    # whole space for nothing; an unclosed generator list failed in int())
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -14,6 +14,7 @@ from cyclomap.notation import (
     field_from_id,
     format_element,
     parse_config,
+    parse_generator,
 )
 
 
@@ -79,6 +80,9 @@ def test_parse_errors(f13):
             parse_polynomial(bad, f13)
     with pytest.raises(ParseError):
         parse_element("x+1", f13)
+    for deep in ("(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x"):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_polynomial(deep, f13)
 
 
 def test_parse_branches(f13):
@@ -120,3 +124,7 @@ def test_config_parsing_and_registry(tmp_path):
     assert F64.modulus == (1, 1, 0, 1, 1, 0, 1)
     with pytest.raises(ParseError):
         parse_config("just a line without equals")
+    # flags and config files share one generator parser
+    assert parse_generator(" [1, 1] ") == [1, 1] and parse_generator("6") == 6
+    with pytest.raises(ParseError):
+        field_from_id("13", {"13.generator": "[2"})

@@ -69,6 +69,51 @@ def test_parallel_equals_serial():
     assert differential_verify(spec_r).to_json() == differential_verify(spec_r, jobs=2).to_json()
 
 
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: runs chunks in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (64, 3, [3]),    # at most one worker per CPU
+    (64, 64, [16]),  # at most one worker per map
+    (5, 64, [4]),    # 16 maps in chunks of 4
+    (64, 1, []),     # one CPU: no pool at all
+])
+def test_jobs_clamped_to_maps_chunks_and_cpus(monkeypatch, jobs, cpus, expected):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+    spec = SweepSpec(criterion="l2", field_id="5", ell=2, r_range=(1, 2),
+                     a_exp_range=(0, 1))  # (2 * 2) ** 2 = 16 maps
+    report = differential_verify(spec, jobs=jobs)
+    assert _RecordingExecutor.max_workers == expected
+    assert report.to_json() == differential_verify(spec).to_json()
+
+
+def test_merge_rejects_reports_of_different_sweeps():
+    a = differential_verify(SweepSpec(criterion="l2", field_id="5", ell=2, r_range=(1, 2)))
+    b = differential_verify(SweepSpec(criterion="l2", field_id="7", ell=2, r_range=(1, 2)))
+    with pytest.raises(ValueError):
+        a.merge(b)
+
+
 def test_cap_guard():
     spec = SweepSpec(criterion="l2", field_id="17", ell=2, r_range=(1, 16), cap=100)
     with pytest.raises(CapExceeded):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from cyclomap.search import SplitMix64, sample_rng
 from cyclomap.unitary import (
     FamilySpec,
     UnitMapping,
+    WrappedMap,
     ext_field_for,
     family_b1,
     family_b2,
@@ -96,18 +98,55 @@ def test_reduce_to_unit_pointwise():
         assert unit.contains(g(x))  # g maps the circle into itself
 
 
-def test_classify_wrapped_matches_direct_evaluation():
-    for F, unit, r, h in _random_rootfree(5, 4242, 10):
-        wm = make_wrapped(5, r, h, field=F, unit=unit)
-        fast = classify_wrapped(wm)
-        fibers = {}
-        for x in range(1, F.q):
-            y = eval_wrapped(wm, x)
-            fibers[y] = fibers.get(y, 0) + 1
-        from collections import Counter
+def _check_against_recount(wm) -> int:
+    """classify_wrapped against an element-level recount through eval_wrapped;
+    returns how many valid m leave a nonempty exceptional set."""
+    F = wm.field
+    images = {x: eval_wrapped(wm, x) for x in range(1, F.q)}
+    fibers = Counter(images.values())
+    hist = Counter(fibers.values())
+    size = F.q - 1
+    report = classify_wrapped(wm)
+    report.check_consistency()
+    assert report.histogram == dict(hist)
+    assert report.valid_ms == {m for m in range(1, size + 1) if hist[m] == size // m}
+    for m in report.valid_ms:
+        expected = sorted((x for x, y in images.items() if fibers[y] != m), key=F.dlog)
+        assert list(report.exceptional_of(m)) == expected
+    return sum(1 for m in report.valid_ms if size % m)
 
-        assert dict(Counter(fibers.values())) == fast.histogram
-        fast.check_consistency()
+
+def test_classify_wrapped_matches_direct_evaluation():
+    for q in (5, 8):
+        for F, unit, r, h in _random_rootfree(q, 4242, 10):
+            _check_against_recount(make_wrapped(q, r, h, field=F, unit=unit))
+
+
+def test_classify_wrapped_exceptional_sets_small_q():
+    # every h = 1 + c1*x + c2*x^2 that is root-free on the circle, every r
+    for q in (3, 4):
+        F = ext_field_for(q)
+        unit = unit_circle(F, q)
+        uneven = 0
+        for c1 in range(F.q):
+            for c2 in range(F.q):
+                h = Polynomial(F, (1, c1, c2))
+                if any(h.eval(x) == 0 for x in unit):
+                    continue
+                for r in range(1, F.q):
+                    wm = make_wrapped(q, r, h, field=F, unit=unit)
+                    uneven += _check_against_recount(wm)
+        assert uneven  # some valid m does not divide q^2 - 1
+
+
+def test_classify_wrapped_names_the_root():
+    F = ext_field_for(5)
+    unit = unit_circle(F, 5)
+    h = Polynomial.from_terms(F, {1: 1, 0: F.neg(unit.element(2))})  # x - zeta^2
+    wm = WrappedMap(base_q=5, field=F, r=1, h=h, unit=unit)  # unchecked
+    with pytest.raises(RootOnUnitCircle) as exc:
+        classify_wrapped(wm)
+    assert exc.value.point == 2
 
 
 # -- branch inference ---------------------------------------------------------------
