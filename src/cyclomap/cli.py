@@ -2,12 +2,14 @@
 
 Exit codes: 0 = success (for criterion commands: the verdict was computed),
 2 = criterion hypotheses unmet, 1 = usage or data errors.  With --json each
-command emits exactly one JSON document on stdout.
+command emits exactly one JSON document on stdout.  `crit --theorem` accepts
+the names of `mto1.CRITERIA`, `verify --criterion` those it marks for sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -18,21 +20,8 @@ from .cyclotomic import (
     unit_circle,
 )
 from .errors import CyclomapError, HypothesisError
-from .gf import make_field
-from .mto1 import (
-    classify_branch_map,
-    classify_polynomial,
-    cor53,
-    cor55,
-    cor56,
-    cor61,
-    cor62,
-    criterion_2to1_any_l,
-    criterion_equal_d,
-    criterion_l2,
-    criterion_l3,
-    lift_to_full_field,
-)
+from .gf import make_field, split_prime_power
+from .mto1 import CRITERIA, classify_branch_map, classify_polynomial
 from .notation import (
     element_json,
     field_from_id,
@@ -46,12 +35,11 @@ from .notation import (
 )
 from .search import SweepSpec, differential_verify, enumerate_mto1
 from .unitary import (
-    FamilySpec,
     classify_unit_mapping,
     classify_wrapped,
     criterion_wrapped,
     ext_field_for,
-    family_construct,
+    family_function,
     make_wrapped,
     reduce_to_unit,
 )
@@ -205,68 +193,72 @@ def _verdict_exit(args, payload, verdict):
     return 0 if verdict.applicable else 2
 
 
-def _require(args, theorem, *names):
+def _require(args, *names):
     """Exit with a usage error when a flag the theorem reads is missing."""
     missing = [name for name in names if getattr(args, name) is None]
     if missing:
         raise CyclomapError(
-            f"crit --theorem {theorem} needs " + ", ".join(f"--{n}" for n in missing)
+            f"crit --theorem {args.theorem} needs " + ", ".join(f"--{n}" for n in missing)
         )
 
 
+# Arguments (without m) of the criteria that take no branch map, from flags.
+
+def _lift_args(args, registry):
+    _require(args, "field", "poly")
+    F = _load_field(args, registry)
+    return parse_polynomial(args.poly, F), F
+
+
+def _cor53_args(args, registry):
+    _require(args, "field", "ell", "a0", "a1", "r0", "r1")
+    F = _load_field(args, registry)
+    a0 = parse_element(args.a0, F)
+    a1 = parse_element(args.a1, F)
+    return F, args.ell, a0, a1, args.r0, args.r1
+
+
+def _cor56_args(args, registry):
+    _require(args, "q", "n", "ell")
+    return args.q, args.n, args.ell
+
+
+def _cor61_args(args, registry):
+    _require(args, "field", "g0", "g1", "r0", "r1")
+    F = _load_field(args, registry)
+    g0 = parse_polynomial(args.g0, F)
+    g1 = parse_polynomial(args.g1, F)
+    return F, g0, g1, args.r0, args.r1
+
+
+def _cor62_args(args, registry):
+    _require(args, "q", "n", "h0", "h1", "r0", "r1")
+    p, e = split_prime_power(args.q)
+    F = make_field(p, e * args.n)
+    h0 = parse_polynomial(args.h0, F)
+    h1 = parse_polynomial(args.h1, F)
+    return args.q, args.n, h0, h1, args.r0, args.r1
+
+
+_CRIT_ARGS = {
+    "lift": _lift_args,
+    "cor53": _cor53_args,
+    "cor56": _cor56_args,
+    "cor61": _cor61_args,
+    "cor62": _cor62_args,
+}
+
+
 def _cmd_crit(args, registry):
-    theorem = args.theorem
-    payload = {"theorem": theorem, "m": args.m}
-    if theorem in ("l2", "l3", "2to1", "equal-d", "cor32", "cor33", "cor42",
-                   "cor43", "cor54", "cor55"):
-        _require(args, theorem, "field", "ell", "branches")
-        F, bm = _branch_map_from_args(args, registry)
-        if theorem == "l2":
-            verdict = criterion_l2(bm, args.m)
-        elif theorem == "l3":
-            verdict = criterion_l3(bm, args.m)
-        elif theorem == "2to1":
-            verdict = criterion_2to1_any_l(bm)
-        elif theorem == "equal-d":
-            verdict = criterion_equal_d(bm, args.m)
-        elif theorem == "cor55":
-            verdict = cor55(bm, args.m)
-        else:
-            from . import mto1
-
-            verdict = getattr(mto1, theorem)(bm)
-    elif theorem == "lift":
-        _require(args, theorem, "field", "poly")
-        F = _load_field(args, registry)
-        poly = parse_polynomial(args.poly, F)
-        verdict = lift_to_full_field(poly, F, args.m)
-    elif theorem == "cor53":
-        _require(args, theorem, "field", "ell", "a0", "a1", "r0", "r1")
-        F = _load_field(args, registry)
-        a0 = parse_element(args.a0, F)
-        a1 = parse_element(args.a1, F)
-        verdict = cor53(F, args.ell, a0, a1, args.r0, args.r1, args.m)
-    elif theorem == "cor56":
-        _require(args, theorem, "q", "n", "ell")
-        verdict = cor56(args.q, args.n, args.ell, args.m)
-    elif theorem == "cor61":
-        _require(args, theorem, "field", "g0", "g1", "r0", "r1")
-        F = _load_field(args, registry)
-        g0 = parse_polynomial(args.g0, F)
-        g1 = parse_polynomial(args.g1, F)
-        verdict = cor61(F, g0, g1, args.r0, args.r1, args.m)
-    elif theorem == "cor62":
-        _require(args, theorem, "q", "n", "h0", "h1", "r0", "r1")
-        from .gf import split_prime_power
-
-        p, e = split_prime_power(args.q)
-        F = make_field(p, e * args.n)
-        h0 = parse_polynomial(args.h0, F)
-        h1 = parse_polynomial(args.h1, F)
-        verdict = cor62(args.q, args.n, h0, h1, args.r0, args.r1, args.m)
+    entry = CRITERIA[args.theorem]
+    if entry.branch_map:
+        _require(args, "field", "ell", "branches")
+        _, bm = _branch_map_from_args(args, registry)
+        fn_args = (bm,)
     else:
-        raise CyclomapError(f"unknown theorem {theorem!r}")
-    return _verdict_exit(args, payload, verdict)
+        fn_args = _CRIT_ARGS[args.theorem](args, registry)
+    verdict = entry.fn(*fn_args, args.m) if entry.takes_m else entry.fn(*fn_args)
+    return _verdict_exit(args, {"theorem": args.theorem, "m": args.m}, verdict)
 
 
 def _wrapped_from_args(args):
@@ -304,24 +296,9 @@ def _cmd_unit_classify(args, registry):
     return 0
 
 
-_FAMILY_PARAMS = {
-    "CBU": ("q", "r", "u", "a"),
-    "CB0": ("q", "r", "u", "a"),
-    "CTAB": ("q", "r", "u", "v", "a", "b"),
-    "CTA": ("q", "r", "u", "v", "a"),
-    "CTKUV": ("q", "r", "u", "v", "k", "a"),
-    "B1": ("q", "ell", "r", "v", "a"),
-    "B2": ("q", "ell", "r", "u", "v", "a"),
-    "B3": ("q", "ell", "r", "v", "a"),
-    "T4": ("q", "r", "a"),
-    "T5": ("q", "r", "a"),
-}
-
-
 def _cmd_unit_family(args, registry):
+    construct = family_function(args.family)
     fam = args.family.upper()
-    if fam not in _FAMILY_PARAMS:
-        raise CyclomapError(f"unknown family {args.family!r}")
     F = ext_field_for(args.q)
     unit = unit_circle(F, args.q)
     eps_exp = None
@@ -330,14 +307,14 @@ def _cmd_unit_family(args, registry):
     elif fam in ("CBU", "CB0", "CTAB", "CTA"):
         eps_exp = (args.q + 1) // 2
     params = {}
-    for name in _FAMILY_PARAMS[fam]:
+    for name in inspect.signature(construct).parameters:
         value = getattr(args, name)
         if value is None:
             raise CyclomapError(f"family {fam} needs --{name}")
         if name in ("a", "b"):
             value = parse_element(value, F, unit=unit, eps_exp=eps_exp)
         params[name] = value
-    result = family_construct(FamilySpec(fam, params))
+    result = construct(**params)
     payload = {
         "family": fam,
         "q": args.q,
@@ -491,10 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
 
     p = add_parser("crit", help="evaluate a closed-form criterion")
-    p.add_argument("--theorem", required=True,
-                   choices=("l2", "l3", "2to1", "equal-d", "lift", "cor32",
-                            "cor33", "cor42", "cor43", "cor53", "cor54",
-                            "cor55", "cor56", "cor61", "cor62"))
+    p.add_argument("--theorem", required=True, choices=tuple(CRITERIA))
     p.add_argument("--field")
     p.add_argument("--modulus")
     p.add_argument("--generator")
@@ -547,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int, default=None, dest="r_max")
 
     p = add_parser("verify", help="differential sweep against the oracle")
-    p.add_argument("--criterion", choices=("l2", "l3", "2to1", "equal-d"))
+    p.add_argument("--criterion",
+                   choices=tuple(name for name, c in CRITERIA.items() if c.sweep))
     p.add_argument("--field")
     p.add_argument("--ell", type=int)
     p.add_argument("--r-min", type=int, dest="r_min")

@@ -261,11 +261,6 @@ class CosetDecomposition:
         self.index = index
         self.coset_size = ctx.order // index
 
-    @property
-    def root_of_unity(self) -> int:
-        """generator ** coset_size, a primitive index-th root of unity."""
-        return self.ctx.element(self.coset_size)
-
     def coset_of(self, x: int) -> int:
         return self.ctx.dlog(x) % self.index
 

@@ -13,13 +13,14 @@ import math
 from collections import Counter
 from typing import Callable, NamedTuple
 
-from .cyclotomic import BranchMap, Polynomial, multiplicative_group
+from .cyclotomic import BranchMap, CosetDecomposition, Polynomial, multiplicative_group
 from .errors import (
     DomainElementOutsideField,
     HypothesisViolated,
     UnequalGcds,
     WrongIndex,
 )
+from .gf import make_field, split_prime_power
 
 class Mto1Report:
     """Multiplicity histogram, admissible m values, and exceptional sets.
@@ -46,14 +47,18 @@ class Mto1Report:
         return self._exceptional_fn(m)
 
     def check_consistency(self):
-        """Histogram identities implied by the definition; used by tests."""
+        """Histogram identities implied by the definition, for tests; raises
+        AssertionError when one fails, also under python -O."""
         total = sum(mult * count for mult, count in self.histogram.items())
-        assert total == self.domain_size
+        if total != self.domain_size:
+            raise AssertionError(f"histogram covers {total} of {self.domain_size} points")
         for m in range(1, self.domain_size + 1):
             expected = self.histogram.get(m, 0) == self.domain_size // m
-            assert (m in self.valid_ms) == expected
+            if (m in self.valid_ms) != expected:
+                raise AssertionError(f"valid m and histogram disagree at m={m}")
         for m in self.valid_ms:
-            assert len(self.exceptional_of(m)) == self.domain_size % m
+            if len(self.exceptional_of(m)) != self.domain_size % m:
+                raise AssertionError(f"exceptional set of m={m} has the wrong size")
 
     def __repr__(self):
         return (
@@ -386,10 +391,6 @@ def criterion_equal_d(bm: BranchMap, m: int) -> CriterionVerdict:
 # oracle in the test suite.
 # ---------------------------------------------------------------------------
 
-def _effective_q(bm: BranchMap) -> int:
-    return bm.decomp.ctx.order + 1
-
-
 def cor32(bm: BranchMap) -> CriterionVerdict:
     """2-to-1 with two branches."""
     if bm.decomp.index != 2:
@@ -407,7 +408,7 @@ def cor33(bm: BranchMap) -> CriterionVerdict:
     """3-to-1 with two branches (group order + 1 >= 13)."""
     if bm.decomp.index != 2:
         raise WrongIndex("cor33 needs 2 branches")
-    if _effective_q(bm) < 13:
+    if bm.decomp.ctx.order + 1 < 13:
         return _na("needs q >= 13")
     d0, d1 = bm.multiplicities
     off = bm._offsets
@@ -420,7 +421,7 @@ def cor42(bm: BranchMap) -> CriterionVerdict:
     """2-to-1 with three branches (group order + 1 >= 7)."""
     if bm.decomp.index != 3:
         raise WrongIndex("cor42 needs 3 branches")
-    if _effective_q(bm) < 7:
+    if bm.decomp.ctx.order + 1 < 7:
         return _na("needs q >= 7")
     d = bm.multiplicities
     off = bm._offsets
@@ -439,7 +440,7 @@ def cor43(bm: BranchMap) -> CriterionVerdict:
     """3-to-1 with three branches (group order + 1 >= 19)."""
     if bm.decomp.index != 3:
         raise WrongIndex("cor43 needs 3 branches")
-    if _effective_q(bm) < 19:
+    if bm.decomp.ctx.order + 1 < 19:
         return _na("needs q >= 19")
     d = bm.multiplicities
     off = bm._offsets
@@ -458,8 +459,6 @@ def cor43(bm: BranchMap) -> CriterionVerdict:
 
 def cor53_branch_map(field, ell: int, a0: int, a1: int, r0: int, r1: int) -> BranchMap:
     """Map with branches (a0, r0), then (a1, r1) on every other coset."""
-    from .cyclotomic import CosetDecomposition
-
     decomp = CosetDecomposition(multiplicative_group(field), ell)
     return BranchMap(decomp, [(a0, r0)] + [(a1, r1)] * (ell - 1))
 
@@ -514,14 +513,22 @@ def cor55(bm: BranchMap, m: int) -> CriterionVerdict:
     return _yes("bijective-branch clause")
 
 
-def cor56_branch_map(q: int, n: int, ell: int) -> BranchMap:
-    """The interpolation map with scales l*w^(i(l-1)) and exponents q^i."""
-    from .cyclotomic import CosetDecomposition
-    from .gf import make_field, split_prime_power
-
+def _cor56_order(q: int, n: int, ell: int) -> int:
+    """q^n, after checking that GF(q^n) exists, l >= 1 and q^n = 1 (mod l^2)."""
+    split_prime_power(q)
+    if n < 1:
+        raise ValueError("extension degree must be >= 1")
+    if ell < 1:
+        raise HypothesisViolated("needs l >= 1")
     qn = q ** n
     if (qn - 1) % (ell * ell):
         raise HypothesisViolated("needs q^n = 1 (mod l^2)")
+    return qn
+
+
+def cor56_branch_map(q: int, n: int, ell: int) -> BranchMap:
+    """The interpolation map with scales l*w^(i(l-1)) and exponents q^i."""
+    qn = _cor56_order(q, n, ell)
     p, e = split_prime_power(q)
     field = make_field(p, e * n)
     decomp = CosetDecomposition(multiplicative_group(field), ell)
@@ -536,9 +543,7 @@ def cor56_branch_map(q: int, n: int, ell: int) -> BranchMap:
 
 def cor56(q: int, n: int, ell: int, m: int) -> CriterionVerdict:
     """Frobenius-exponent map: m-to-1 iff (x*q^x mod l) is m-to-1 on [l]."""
-    qn = q ** n
-    if (qn - 1) % (ell * ell):
-        raise HypothesisViolated("needs q^n = 1 (mod l^2)")
+    qn = _cor56_order(q, n, ell)
     if not 1 <= m < qn:
         return _na("m-out-of-range")
     s = (qn - 1) // ell
@@ -552,8 +557,6 @@ def cor56(q: int, n: int, ell: int, m: int) -> CriterionVerdict:
 
 def cor61_branch_map(field, g0: Polynomial, g1: Polynomial, r0: int, r1: int) -> BranchMap:
     """Branch constants realized as g_i(+-1)^(2 d_i)."""
-    from .cyclotomic import CosetDecomposition
-
     s = (field.q - 1) // 2
     d0, d1 = math.gcd(r0, s), math.gcd(r1, s)
     one = 1
@@ -599,8 +602,6 @@ def cor62(q: int, n: int, h0: Polynomial, h1: Polynomial, r0: int, r1: int,
 
 def cor62_branch_map(q: int, n: int, h0: Polynomial, h1: Polynomial,
                      r0: int, r1: int) -> BranchMap:
-    from .cyclotomic import CosetDecomposition
-
     field = h0.field
     a0 = h0.eval(1)
     a1 = h1.eval(field.neg(1))
@@ -624,24 +625,41 @@ def _parity_clauses(d0: int, d1: int, r1: int, s: int, m: int, order: int) -> Cr
     return _no("no realized-constant clause holds")
 
 
-_SPECIALIZED = {
-    "COR32": cor32,
-    "COR33": cor33,
-    "COR42": cor42,
-    "COR43": cor43,
-    "COR53": cor53,
-    "COR54": cor54,
-    "COR55": cor55,
-    "COR56": cor56,
-    "COR61": cor61,
-    "COR62": cor62,
+class Criterion(NamedTuple):
+    """How the CLI and the sweeps call one closed-form criterion."""
+
+    fn: Callable[..., CriterionVerdict]
+    takes_m: bool = True  # called as fn(..., m)
+    fixed_m: int | None = None  # the one m that fn decides without an m argument
+    branch_map: bool = True  # fn(bm[, m]); otherwise the CLI builds its arguments
+    sweep: bool = False  # `verify` may hold it against the oracle
+    equal_gcds: bool = False  # random sweeps draw exponents with equal gcds
+
+
+# Name -> criterion, in the order `crit --theorem` and `verify --criterion`
+# list them.
+CRITERIA = {
+    "l2": Criterion(criterion_l2, sweep=True),
+    "l3": Criterion(criterion_l3, sweep=True),
+    "2to1": Criterion(criterion_2to1_any_l, takes_m=False, fixed_m=2, sweep=True),
+    "equal-d": Criterion(criterion_equal_d, sweep=True, equal_gcds=True),
+    "lift": Criterion(lift_to_full_field, branch_map=False),
+    "cor32": Criterion(cor32, takes_m=False, fixed_m=2),
+    "cor33": Criterion(cor33, takes_m=False, fixed_m=3),
+    "cor42": Criterion(cor42, takes_m=False, fixed_m=2),
+    "cor43": Criterion(cor43, takes_m=False, fixed_m=3),
+    "cor53": Criterion(cor53, branch_map=False),
+    "cor54": Criterion(cor54, takes_m=False),  # m is the common multiplicity
+    "cor55": Criterion(cor55),
+    "cor56": Criterion(cor56, branch_map=False),
+    "cor61": Criterion(cor61, branch_map=False),
+    "cor62": Criterion(cor62, branch_map=False),
 }
 
 
 def specialized_criterion(variant: str, *args, **kwargs) -> CriterionVerdict:
-    """Dispatch to one of the fixed-m / realized-constant criteria."""
-    try:
-        fn = _SPECIALIZED[variant.upper()]
-    except KeyError:
-        raise ValueError(f"unknown criterion variant {variant!r}") from None
-    return fn(*args, **kwargs)
+    """Dispatch to one of the corollaries cor32 ... cor62, named in any case."""
+    name = variant.lower()
+    if not name.startswith("cor") or name not in CRITERIA:
+        raise ValueError(f"unknown criterion variant {variant!r}")
+    return CRITERIA[name].fn(*args, **kwargs)

@@ -18,7 +18,11 @@ from itertools import product
 from .cyclotomic import BranchMap, CosetDecomposition, multiplicative_group
 from .errors import CapExceeded, HypothesisError
 from .gf import Field
+# A sweep calls its criterion through this module's binding of the
+# function's name (criterion_l2, ...), so a wrapper installed on that
+# binding, as bench/tracer.py does, sees every call.
 from .mto1 import (
+    CRITERIA,
     branch_map_valid_ms,
     criterion_2to1_any_l,
     criterion_equal_d,
@@ -72,11 +76,14 @@ class SweepSpec:
     def normalized(self, field: Field) -> "SweepSpec":
         from dataclasses import replace
 
+        entry = CRITERIA.get(self.criterion)
+        if entry is None or not entry.sweep:
+            raise ValueError(f"unknown criterion {self.criterion!r}")
         a_rng = self.a_exp_range or (0, field.q - 2)
         if self.m_range is not None:
             m_rng = self.m_range
-        elif self.criterion == "2to1":
-            m_rng = (2, 2)
+        elif entry.fixed_m is not None:
+            m_rng = (entry.fixed_m, entry.fixed_m)
         else:
             m_rng = (1, field.q - 1)
         return replace(self, a_exp_range=a_rng, m_range=m_rng)
@@ -132,18 +139,6 @@ class MismatchReport:
     def to_json(self, include_runtime: bool = False) -> str:
         # runtime is excluded by default so identical sweeps emit identical bytes
         return json.dumps(self.to_json_dict(include_runtime), indent=2)
-
-
-def _criterion_fn(name: str):
-    if name == "l2":
-        return criterion_l2
-    if name == "l3":
-        return criterion_l3
-    if name == "2to1":
-        return lambda bm, m: criterion_2to1_any_l(bm)
-    if name == "equal-d":
-        return criterion_equal_d
-    raise ValueError(f"unknown criterion {name!r}")
 
 
 def _exhaustive_tuples(spec: SweepSpec):
@@ -225,7 +220,12 @@ def differential_verify(spec: SweepSpec, *, criterion_fn=None, jobs: int = 1,
 def _run_chunk(args, criterion_fn=None) -> MismatchReport:
     spec, lo, hi = args
     field = field_from_id(spec.field_id)
-    fn = criterion_fn or _criterion_fn(spec.criterion)
+    entry = CRITERIA[spec.criterion]
+    fn = criterion_fn
+    if fn is None:
+        fn = globals()[entry.fn.__name__]
+        if not entry.takes_m:
+            fn = lambda bm, m, decide=fn: decide(bm)
     decomp = CosetDecomposition(multiplicative_group(field), spec.ell)
     m_lo, m_hi = spec.m_range
     report = MismatchReport(
@@ -242,7 +242,7 @@ def _run_chunk(args, criterion_fn=None) -> MismatchReport:
         },
     )
     gcd_buckets = None
-    if spec.mode == "random" and spec.criterion == "equal-d":
+    if spec.mode == "random" and entry.equal_gcds:
         s = (field.q - 1) // spec.ell
         gcd_buckets = {}
         for r in range(1, field.q):

@@ -98,9 +98,6 @@ class UnitMapping:
     def __call__(self, x: int) -> int:
         return self.table[self.unit.dlog(x)]
 
-    def at_exp(self, k: int) -> int:
-        return self.table[k % self.unit.order]
-
 
 def reduce_to_unit(wm: WrappedMap) -> UnitMapping:
     F = wm.field
@@ -498,9 +495,13 @@ _FAMILIES = {
 }
 
 
-def family_construct(spec: FamilySpec) -> FamilyResult:
+def family_function(family_id: str):
+    """The constructor of a named family; the name is matched in any case."""
     try:
-        fn = _FAMILIES[spec.family_id.upper()]
+        return _FAMILIES[family_id.upper()]
     except KeyError:
-        raise ValueError(f"unknown family {spec.family_id!r}") from None
-    return fn(**spec.params)
+        raise ValueError(f"unknown family {family_id!r}") from None
+
+
+def family_construct(spec: FamilySpec) -> FamilyResult:
+    return family_function(spec.family_id)(**spec.params)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,33 @@ import sys
 
 import pytest
 
-from cyclomap import cli
+from cyclomap import (
+    BranchMap,
+    cli,
+    criterion_2to1_any_l,
+    criterion_equal_d,
+    criterion_l2,
+    criterion_l3,
+    decompose,
+    field_from_id,
+    lift_to_full_field,
+    multiplicative_group,
+    parse_branches,
+    parse_polynomial,
+)
+from cyclomap.mto1 import (
+    CRITERIA,
+    cor32,
+    cor33,
+    cor42,
+    cor43,
+    cor53,
+    cor54,
+    cor55,
+    cor56,
+    cor61,
+    cor62,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -243,3 +270,114 @@ def test_crit_lift_and_seeded_verify():
          "--samples", "200", "--seed", "42"]
     )
     assert code == 0 and json.loads(out)["mismatch_count"] == 0
+
+
+def _bm(field_id, ell, branches):
+    F = field_from_id(field_id)
+    return BranchMap(decompose(multiplicative_group(F), ell), parse_branches(branches, F))
+
+
+def _poly(field_id, text):
+    return parse_polynomial(text, field_from_id(field_id))
+
+
+# One crit input per theorem, and the library call on the same map and m.
+CRIT_CASES = {
+    "l2": (["--field", "13", "--ell", "2", "--branches", "1:2,-1:4", "--m", "2"],
+           lambda: criterion_l2(_bm("13", 2, "1:2,-1:4"), 2)),
+    "l3": (["--field", "13", "--ell", "3", "--branches", "1:2,2:2,-5:2", "--m", "2"],
+           lambda: criterion_l3(_bm("13", 3, "1:2,2:2,-5:2"), 2)),
+    "2to1": (["--field", "17", "--ell", "4", "--branches", "8:2,2:3,-8:2,4:3"],
+             lambda: criterion_2to1_any_l(_bm("17", 4, "8:2,2:3,-8:2,4:3"))),
+    "equal-d": (["--field", "13", "--ell", "2", "--branches", "1:2,-1:4", "--m", "4"],
+                lambda: criterion_equal_d(_bm("13", 2, "1:2,-1:4"), 4)),
+    "lift": (["--field", "13", "--poly", "x^2", "--m", "2"],
+             lambda: lift_to_full_field(_poly("13", "x^2"), field_from_id("13"), 2)),
+    "cor32": (["--field", "13", "--ell", "2", "--branches", "1:2,-1:4"],
+              lambda: cor32(_bm("13", 2, "1:2,-1:4"))),
+    "cor33": (["--field", "13", "--ell", "2", "--branches", "1:3,2:3", "--m", "3"],
+              lambda: cor33(_bm("13", 2, "1:3,2:3"))),
+    "cor42": (["--field", "13", "--ell", "3", "--branches", "1:2,2:2,-5:2"],
+              lambda: cor42(_bm("13", 3, "1:2,2:2,-5:2"))),
+    "cor43": (["--field", "19", "--ell", "3", "--branches", "1:3,2:3,4:3", "--m", "3"],
+              lambda: cor43(_bm("19", 3, "1:3,2:3,4:3"))),
+    "cor53": (["--field", "13", "--ell", "3", "--a0", "3", "--a1", "-3",
+               "--r0", "2", "--r1", "2", "--m", "2"],
+              lambda: cor53(field_from_id("13"), 3, 3, 10, 2, 2, 2)),
+    "cor54": (["--field", "13", "--ell", "2", "--branches", "1:2,-1:4"],
+              lambda: cor54(_bm("13", 2, "1:2,-1:4"))),
+    "cor55": (["--field", "13", "--ell", "2", "--branches", "1:1,-1:5", "--m", "2"],
+              lambda: cor55(_bm("13", 2, "1:1,-1:5"), 2)),
+    "cor56": (["--q", "5", "--n", "2", "--ell", "2", "--m", "1"],
+              lambda: cor56(5, 2, 2, 1)),
+    "cor61": (["--field", "13", "--g0", "x+1", "--g1", "2", "--r0", "3",
+               "--r1", "3", "--m", "3"],
+              lambda: cor61(field_from_id("13"), _poly("13", "x+1"),
+                            _poly("13", "2"), 3, 3, 3)),
+    "cor62": (["--q", "5", "--n", "2", "--h0", "2", "--h1", "3", "--r0", "1",
+               "--r1", "1", "--m", "1"],
+              lambda: cor62(5, 2, _poly("5^2", "2"), _poly("5^2", "3"), 1, 1, 1)),
+}
+
+
+def test_crit_cases_cover_every_theorem():
+    assert list(CRIT_CASES) == list(CRITERIA)
+
+
+@pytest.mark.parametrize("theorem", list(CRIT_CASES))
+def test_crit_matches_the_library_call(theorem):
+    argv, library_call = CRIT_CASES[theorem]
+    code, out, err = run_cli(["--json", "crit", "--theorem", theorem, *argv])
+    verdict = library_call()
+    assert code == (0 if verdict.applicable else 2), err
+    payload = json.loads(out)
+    assert (payload["applicable"], payload["holds"], payload["witness"]) == verdict
+
+
+def _choices(command, dest):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_crit_and_verify_choices():
+    assert _choices("crit", "theorem") == (
+        "l2", "l3", "2to1", "equal-d", "lift", "cor32", "cor33", "cor42",
+        "cor43", "cor53", "cor54", "cor55", "cor56", "cor61", "cor62",
+    )
+    assert _choices("verify", "criterion") == ("l2", "l3", "2to1", "equal-d")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--q", "4", "--n", "2", "--ell", "0"], 2),
+    (["--q", "5", "--n", "2", "--ell", "-1", "--m", "1"], 2),
+    (["--q", "6", "--n", "2", "--ell", "1", "--m", "1"], 1),
+    (["--q", "10", "--n", "2", "--ell", "3", "--m", "1"], 1),
+    (["--q", "5", "--n", "0", "--ell", "2", "--m", "1"], 1),
+])
+def test_crit_cor56_bad_input_is_one_line(argv, exit_code):
+    # l = 0 once ended in a ZeroDivisionError traceback, and GF(6), GF(10)
+    # were answered as if they existed
+    code, out, err = run_cli(["crit", "--theorem", "cor56", *argv])
+    assert code == exit_code and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("not applicable: " if exit_code == 2 else "error: ")
+
+
+def test_verify_config_with_unknown_criterion(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("criterion = nope\nfield = 13\nell = 2\n")
+    code, out, err = run_cli(["--config", str(cfg), "verify"])
+    assert code == 1 and out == ""
+    assert err == "error: unknown criterion 'nope'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "xyz", "--q", "5"], "unknown family 'xyz'"),
+    (["--family", "cbu", "--q", "5", "--r", "1"], "family CBU needs --u"),
+    (["--family", "B2", "--q", "5", "--ell", "2", "--r", "1", "--u", "1"],
+     "family B2 needs --v"),
+])
+def test_unit_family_usage_errors(argv, message):
+    code, out, err = run_cli(["unit-family", *argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")

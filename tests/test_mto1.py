@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 
@@ -24,11 +28,13 @@ from cyclomap.cyclotomic import RelationKind
 from cyclomap.errors import (
     DomainElementOutsideField,
     HypothesisViolated,
+    NotPrime,
     UnequalGcds,
     WrongIndex,
 )
 from cyclomap.gf import divisors
 from cyclomap.mto1 import (
+    CRITERIA,
     branch_map_valid_ms,
     cor32,
     cor33,
@@ -420,6 +426,20 @@ def test_cor56_against_oracle():
         cor56(3, 1, 2, 1)  # 3 != 1 (mod 4)
 
 
+@pytest.mark.parametrize("fn", [cor56, cor56_branch_map])
+def test_cor56_checks_ell_and_the_field_first(fn):
+    extra = (1,) if fn is cor56 else ()
+    # l < 1 once divided by l*l; GF(6) and GF(10) do not exist
+    for ell in (0, -1):
+        with pytest.raises(HypothesisViolated):
+            fn(4, 2, ell, *extra)
+    for q in (6, 10, 1):
+        with pytest.raises(NotPrime):
+            fn(q, 2, 1, *extra)
+    with pytest.raises(ValueError):
+        fn(5, 0, 2, *extra)
+
+
 def test_cor61_against_oracle(f13):
     rng = SplitMix64(3)
     from cyclomap.cyclotomic import Polynomial
@@ -479,3 +499,37 @@ def test_specialized_dispatch(f13):
     assert specialized_criterion("cor32", bm).holds
     with pytest.raises(ValueError):
         specialized_criterion("COR99", bm)
+
+
+def test_specialized_dispatch_takes_the_ten_corollaries_only(f13):
+    names = ["cor32", "cor33", "cor42", "cor43", "cor53", "cor54", "cor55",
+             "cor56", "cor61", "cor62"]
+    assert [n for n in CRITERIA if n.startswith("cor")] == names
+    assert specialized_criterion("COR56", 5, 2, 2, 1) == cor56(5, 2, 2, 1)
+    assert specialized_criterion("Cor56", 5, 2, 2, 1) == cor56(5, 2, 2, 1)
+    bm = _bm(f13, 2, [(1, 2), (12, 4)])
+    for name in ("l2", "L3", "2to1", "equal-d", "lift", "cor", ""):
+        with pytest.raises(ValueError):
+            specialized_criterion(name, bm, 2)
+
+
+def test_check_consistency_raises_under_python_O():
+    # a report whose exceptional set has the wrong size: 5 points, two
+    # fibers of size 2, so m = 2 is valid with one exceptional element
+    script = (
+        "import sys\n"
+        "from cyclomap.mto1 import Mto1Report\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "try:\n"
+        "    Mto1Report([2, 2, 1], lambda m: ()).check_consistency()\n"
+        "except AssertionError as exc:\n"
+        "    print('caught:', exc, sys.flags.optimize)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "caught: exceptional set of m=2 has the wrong size 1\n"
