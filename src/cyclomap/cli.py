@@ -343,10 +343,17 @@ def _cmd_unit_family(args, registry):
     return 0
 
 
+def _window(lo, hi, default):
+    """(lo, hi) with a missing end taken from default; None when both are missing."""
+    if lo is None and hi is None:
+        return None
+    return (default[0] if lo is None else lo, default[1] if hi is None else hi)
+
+
 def _cmd_enumerate(args, registry):
     F = _load_field(args, registry)
-    a_rng = (args.a_min, args.a_max) if args.a_max is not None else None
-    r_rng = (args.r_min, args.r_max) if args.r_max is not None else None
+    a_rng = _window(args.a_min, args.a_max, (0, F.q - 2))
+    r_rng = _window(args.r_min, args.r_max, (1, F.q - 1))
     maps = []
     for bm in enumerate_mto1(F, args.ell, args.m, a_rng, r_rng, args.limit):
         maps.append(",".join(f"{format_element(F, a)}:{r}" for a, r in bm.branches))
@@ -388,8 +395,8 @@ def _cmd_verify(args, registry, config):
         field_id=field_id,
         ell=ell,
         r_range=(r_min, r_max if r_max is not None else q - 1),
-        a_exp_range=(args.a_min, args.a_max) if args.a_max is not None else None,
-        m_range=(m_min, m_max) if m_max is not None else None,
+        a_exp_range=_window(args.a_min, args.a_max, (0, q - 2)),
+        m_range=_window(m_min, m_max, (1, q - 1)),
         mode=mode,
         samples=samples,
         seed=seed,

@@ -5,6 +5,11 @@ subgroup of it (in particular the norm-one "unit circle" of a quadratic
 extension): a GroupContext pins the group and its generator, a
 CosetDecomposition splits it into `index` cosets, and a BranchMap attaches
 one monomial a_i * x^(r_i) to each coset.
+
+Every group here is one kind of object: the subgroup of order N of F_q*,
+whose elements are the x with field log divisible by (q-1)/N.  Its logs are
+the field's logs divided by (q-1)/N and rescaled to its own generator, so
+F_q*, the index-l subgroup C_0 and the unit circle share one implementation.
 """
 
 from __future__ import annotations
@@ -21,60 +26,58 @@ from .errors import (
     NotInGroup,
     NotPrimitive,
     UnsupportedContext,
-    ZeroArgument,
 )
 from .gf import Field, ProgressionKind, residue_progression_relation
 
 
 class GroupContext:
-    """A cyclic subgroup of a field's unit group with its own generator/logs."""
+    """A cyclic subgroup of F_q*, with its own generator and logs.
 
-    __slots__ = ("field", "order", "generator", "is_full", "_elements", "_log")
+    The group of order N = (q-1)/index is the set of x whose field log is a
+    multiple of index.  Its generator is g^e for the field generator g, with
+    index | e and gcd(e/index, N) = 1, so element(k) = g^(k*e) and
+    dlog(x) = (field.dlog(x)/index) * (e/index)^-1 mod N.  F_q* itself is
+    the case index = 1, e = 1.
+    """
 
-    def __init__(self, field: Field, order: int, generator: int, *, is_full: bool):
+    __slots__ = ("field", "order", "generator", "index", "_gen_log", "_log_factor")
+
+    def __init__(self, field: Field, order: int, generator: int):
+        if order < 1 or (field.q - 1) % order:
+            raise IndexNotDividingOrder(
+                f"order {order} does not divide |F*| = {field.q - 1}"
+            )
+        if not 0 < generator < field.q:
+            raise NotPrimitive(f"generator {generator} is not a nonzero field element")
         self.field = field
         self.order = order
         self.generator = generator
-        self.is_full = is_full
-        if is_full:
-            self._elements = None
-            self._log = None
-        else:
-            elems = []
-            log = {}
-            acc = 1
-            for k in range(order):
-                elems.append(acc)
-                log[acc] = k
-                acc = field.mul(acc, generator)
-            if acc != 1 or len(log) != order:
-                raise NotPrimitive(
-                    f"generator does not have exact order {order}"
-                )
-            self._elements = tuple(elems)
-            self._log = log
+        self.index = (field.q - 1) // order
+        e = 1 if generator == field.generator else field.dlog(generator)
+        if e % self.index or math.gcd(e // self.index, order) != 1:
+            raise NotPrimitive(f"generator does not have exact order {order}")
+        self._gen_log = e
+        self._log_factor = pow(e // self.index, -1, order)
+
+    @property
+    def is_full(self) -> bool:
+        """Whether the group is all of F_q*."""
+        return self.index == 1
 
     def element(self, k: int) -> int:
         """generator ** k."""
-        if self.is_full:
-            return self.field.exp_at(k)
-        return self._elements[k % self.order]
+        return self.field.exp_at(k * self._gen_log)
 
     def dlog(self, x: int) -> int:
-        if self.is_full:
-            try:
-                return self.field.dlog(x)
-            except ZeroArgument:
-                raise NotInGroup("0 is not in the multiplicative group") from None
-        k = self._log.get(x)
-        if k is None:
-            raise NotInGroup(f"element {x} is not in the subgroup of order {self.order}")
-        return k
+        """k in [0, order) with generator ** k == x; NotInGroup otherwise."""
+        if 0 < x < self.field.q:
+            k, rest = divmod(self.field.dlog(x), self.index)
+            if not rest:
+                return k * self._log_factor % self.order
+        raise NotInGroup(f"element {x} is not in the group of order {self.order}")
 
     def contains(self, x: int) -> bool:
-        if self.is_full:
-            return x != 0 and self.field.contains(x)
-        return x in self._log
+        return 0 < x < self.field.q and self.field.dlog(x) % self.index == 0
 
     def __iter__(self):
         return (self.element(k) for k in range(self.order))
@@ -85,19 +88,16 @@ class GroupContext:
 
 
 def multiplicative_group(field: Field) -> GroupContext:
-    """F_q* with the field's own generator and log table."""
-    return GroupContext(field, field.q - 1, field.generator, is_full=True)
+    """F_q* with the field's own generator and logs."""
+    return GroupContext(field, field.q - 1, field.generator)
 
 
 def subgroup_of_order(field: Field, order: int, generator: int | None = None) -> GroupContext:
-    """The unique subgroup of F_q* of the given order (must divide q-1)."""
-    if order < 1 or (field.q - 1) % order:
-        raise IndexNotDividingOrder(
-            f"order {order} does not divide |F*| = {field.q - 1}"
-        )
-    if generator is None:
+    """The unique subgroup of F_q* of the given order (must divide q-1);
+    its default generator is g^((q-1)/order)."""
+    if generator is None and order >= 1:  # GroupContext rejects a bad order
         generator = field.exp_at((field.q - 1) // order)
-    return GroupContext(field, order, generator, is_full=(order == field.q - 1))
+    return GroupContext(field, order, generator)
 
 
 def unit_circle(ext_field: Field, base_q: int, generator: int | None = None) -> GroupContext:
@@ -337,10 +337,7 @@ class BranchMap:
     coset size, because the coset size divides the group order.
     """
 
-    __slots__ = (
-        "decomp", "branches", "scales", "exponents", "log_scales",
-        "exponents_mod", "multiplicities", "_offsets", "__dict__",
-    )
+    __slots__ = ("decomp", "branches", "log_scales", "multiplicities", "_offsets", "__dict__")
 
     def __init__(self, decomp: CosetDecomposition, branches):
         bs = tuple(Branch(int(a), int(r)) for a, r in branches)
@@ -349,23 +346,28 @@ class BranchMap:
                 f"expected {decomp.index} branches, got {len(bs)}"
             )
         ctx = decomp.ctx
-        N = ctx.order
         s = decomp.coset_size
         log_scales = []
         for a, _ in bs:
-            if not ctx.contains(a):
-                raise NotInGroup(f"branch constant {a} is not in the group")
-            log_scales.append(ctx.dlog(a))
+            try:
+                log_scales.append(ctx.dlog(a))
+            except NotInGroup:
+                raise NotInGroup(f"branch constant {a} is not in the group") from None
         self.decomp = decomp
         self.branches = bs
-        self.scales = tuple(a for a, _ in bs)
-        self.exponents = tuple(r for _, r in bs)
         self.log_scales = tuple(log_scales)
-        self.exponents_mod = tuple(r % N for _, r in bs)
         self.multiplicities = tuple(math.gcd(r, s) for _, r in bs)
         self._offsets = tuple(
             i * r + la for i, ((_, r), la) in enumerate(zip(bs, log_scales))
         )
+
+    @property
+    def scales(self) -> tuple[int, ...]:
+        return tuple(a for a, _ in self.branches)
+
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        return tuple(r for _, r in self.branches)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -376,7 +378,7 @@ class BranchMap:
     def eval_exp(self, k: int) -> int:
         """Exponent of f(generator**k)."""
         i = k % self.decomp.index
-        return (k * self.exponents_mod[i] + self.log_scales[i]) % self.decomp.ctx.order
+        return (k * self.branches[i].exponent + self.log_scales[i]) % self.decomp.ctx.order
 
     def image_residue(self, i: int, n: int) -> int:
         """(i*r_i + log of the branch constant) mod n; drives every criterion."""
@@ -439,7 +441,7 @@ class BranchMap:
             raise UnsupportedContext(
                 "expansion to one polynomial is defined on the full group F_q*"
             )
-        if any(r < 1 for r in self.exponents):
+        if any(r < 1 for _, r in self.branches):
             raise ConstraintViolated("expansion needs positive branch exponents")
         F = ctx.field
         N = ctx.order
@@ -458,19 +460,6 @@ class BranchMap:
         return poly
 
     # -- cached data for criteria ---------------------------------------------
-
-    @cached_property
-    def sorted_permutations(self) -> tuple[tuple[int, ...], ...]:
-        """All labelings (i, j, k, ...) sorted by multiplicity, ties free."""
-        import itertools
-
-        d = self.multiplicities
-        idx = range(self.decomp.index)
-        return tuple(
-            p
-            for p in itertools.permutations(idx)
-            if all(d[p[t]] <= d[p[t + 1]] for t in range(len(p) - 1))
-        )
 
     @cached_property
     def m_candidates(self) -> frozenset[int]:

@@ -522,20 +522,7 @@ class Field:
         """Whether this field uses exp/log tables (built on first use)."""
         return self._use_tables
 
-    @property
-    def order_factors(self) -> tuple[int, ...]:
-        return self._order_factors
-
-    # -- iteration / misc -------------------------------------------------------
-
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        """Nonzero elements in generator-power order."""
-        if self._exp is not None or self._load_tables():
-            return iter(self._exp)
-        return (self.exp_at(k) for k in range(self.q - 1))
+    # -- misc -------------------------------------------------------------------
 
     def in_subfield(self, a: int, q0: int) -> bool:
         """Whether a lies in the subfield of order q0 (q0**k == q required)."""

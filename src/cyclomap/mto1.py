@@ -98,7 +98,7 @@ def branch_map_fibers(bm: BranchMap) -> dict[int, int]:
     """Image-exponent -> preimage-count over the whole group (the oracle core)."""
     N = bm.decomp.ctx.order
     ell = bm.decomp.index
-    rs = bm.exponents_mod
+    rs = tuple(r % N for _, r in bm.branches)
     las = bm.log_scales
     fibers: dict[int, int] = {}
     for k in range(N):
@@ -136,7 +136,8 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
         ks = []
         if odd:
             N, ell = ctx.order, bm.decomp.index
-            for i, (r, la) in enumerate(zip(bm.exponents_mod, bm.log_scales)):
+            for i, ((_, r), la) in enumerate(zip(bm.branches, bm.log_scales)):
+                r %= N
                 start, step = (i * r + la) % N, ell * r
                 ks.extend(i + t * ell for t in range(bm.decomp.coset_size)
                           if (start + t * step) % N in odd)
@@ -192,33 +193,33 @@ def _na(witness: str) -> CriterionVerdict:
 # Lifting from the unit group to the whole field.
 # ---------------------------------------------------------------------------
 
-def lift_to_full_field(fn, field, m: int, star_report=None,
-                       star_valid=None) -> CriterionVerdict:
+def lift_to_full_field(fn, field, m: int, star_valid=None) -> CriterionVerdict:
     """m-to-1 on F_q from m-to-1 on F_q*, for maps whose only root is 0.
 
-    fn: BranchMap (over the full group), Polynomial, or callable on codes.
-    Raises HypothesisViolated when f(0) != 0 or some nonzero root exists.
+    fn: BranchMap (over the full group), Polynomial, or callable on codes,
+    evaluated once per point of F_q.  star_valid: the valid m on F_q*, when
+    the caller already has them.  Raises HypothesisViolated when f(0) != 0
+    or some nonzero root exists.
     """
     if isinstance(fn, BranchMap):
-        evaluate = fn.eval
-        zero_image = 0
-        if star_valid is None and star_report is None:
+        zero_image = 0  # branch constants are nonzero, so no root but 0
+        if star_valid is None:
             star_valid = branch_map_valid_ms(fn)
-        # branch constants are nonzero, so no nonzero root can exist
     else:
         evaluate = fn.eval if isinstance(fn, Polynomial) else fn
         zero_image = evaluate(0)
+        fibers = Counter()
         for x in range(1, field.q):
-            if evaluate(x) == 0:
+            y = evaluate(x)
+            if y == 0:
                 raise HypothesisViolated(
                     f"nonzero root {x}: the map must vanish only at 0"
                 )
+            fibers[y] += 1
+        if star_valid is None:
+            star_valid = _multiplicities(fibers.values())[2]
     if zero_image != 0:
         raise HypothesisViolated("the map must fix 0")
-    if star_valid is None:
-        if star_report is None:
-            star_report = classify_callable(evaluate, range(1, field.q))
-        star_valid = star_report.valid_ms
     on_star = m in star_valid
     if m == 1:
         return _yes("bijective-star") if on_star else _no("not-1to1-on-star")
@@ -258,6 +259,10 @@ def criterion_l2(bm: BranchMap, m: int) -> CriterionVerdict:
     return _no("m is neither the common multiplicity nor their sum")
 
 
+# The labelings (i, j, k) of three branches, in itertools.permutations order.
+_ORDERINGS_3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
 def criterion_l3(bm: BranchMap, m: int) -> CriterionVerdict:
     """Three branches: m-to-1 on the group iff one of six clauses holds."""
     if bm.decomp.index != 3:
@@ -272,8 +277,10 @@ def criterion_l3(bm: BranchMap, m: int) -> CriterionVerdict:
     s = bm.decomp.coset_size
     two_s = 2 * s
     total = d[0] + d[1] + d[2]
-    for i, j, k in bm.sorted_permutations:
+    for i, j, k in _ORDERINGS_3:
         di, dj, dk = d[i], d[j], d[k]
+        if not di <= dj <= dk:  # the clauses name branches by ascending multiplicity
+            continue
         if m == di == dj == dk:
             n1 = 3 * m
             if len({off[0] % n1, off[1] % n1, off[2] % n1}) == 3:
@@ -429,7 +436,7 @@ def cor42(bm: BranchMap) -> CriterionVerdict:
         if len({off[0] % 6, off[1] % 6, off[2] % 6}) == 3:
             return _yes("all branches 2-to-1, distinct images")
         return _no("images collide")
-    for i, j, k in bm.sorted_permutations:
+    for i, j, k in _ORDERINGS_3:
         if d[i] == d[j] == 1 and d[k] == 2:
             if off[i] % 3 == off[j] % 3 != off[k] % 3:
                 return _yes("two bijective branches merge, 2-to-1 branch apart")
@@ -450,7 +457,7 @@ def cor43(bm: BranchMap) -> CriterionVerdict:
     if off[0] % 3 == off[1] % 3 == off[2] % 3:
         if d[0] == d[1] == d[2] == 1:
             return _yes("all branches bijective, all images equal")
-        for i, j, k in bm.sorted_permutations:
+        for i, j, k in _ORDERINGS_3:
             if d[i] == 1 and d[j] == d[k] == 2:
                 if off[j] % 6 != off[k] % 6:
                     return _yes("one bijective + two separated 2-to-1 branches")

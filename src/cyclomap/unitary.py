@@ -267,10 +267,6 @@ class FamilyResult:
     details: dict
 
 
-def _unit_poly(field: Field, terms: dict) -> Polynomial:
-    return Polynomial.from_terms(field, terms)
-
-
 def _require(cond: bool, name: str):
     if not cond:
         raise ConstraintViolated(name)
@@ -293,7 +289,7 @@ def family_cbu(q: int, r: int, u: int, a: int) -> FamilyResult:
     e = (q + 1) // math.gcd(q + 1, u + t)
     if F.pow(F.neg(a), e) == 1:
         raise RootOnUnitCircle("h = 1 + a*y^(u+t) vanishes on the unit circle")
-    h = _unit_poly(F, {0: 1, u + t: a})
+    h = Polynomial.from_terms(F, {0: 1, u + t: a})
     wm = make_wrapped(q, r, h, field=F, unit=unit)
     d1 = math.gcd(r - u, t)
     if (r - u - t) % (2 * d1):
@@ -314,7 +310,7 @@ def family_cb0(q: int, r: int, u: int, a: int) -> FamilyResult:
     e = (q + 1) // math.gcd(q + 1, u) if u else 1
     if F.pow(F.neg(a), e) == 1:
         raise RootOnUnitCircle("h = 1 + a*y^u vanishes on the unit circle")
-    h = _unit_poly(F, {0: 1, u: a}) if u else _unit_poly(F, {0: F.add(1, a)})
+    h = Polynomial.from_terms(F, {0: 1, u: a} if u else {0: F.add(1, a)})
     wm = make_wrapped(q, r, h, field=F, unit=unit)
     m = math.gcd(r - u, q + 1)
     return FamilyResult("CB0", wm, frozenset({m}), {"m": m})
@@ -331,7 +327,7 @@ def family_ctab(q: int, r: int, u: int, v: int, a: int, b: int) -> FamilyResult:
     _require(a != 0 and F.pow(a, q - 1) == F.neg(1), "need a^(q-1) = -1")
     one_minus_a2 = F.sub(1, F.mul(a, a))
     _require(b != 0 and F.pow(b, q + 1) == one_minus_a2, "need b^(q+1) = 1 - a^2")
-    h = _unit_poly(F, {0: 1, t: a, u + v * t: b})
+    h = Polynomial.from_terms(F, {0: 1, t: a, u + v * t: b})
     wm = make_wrapped(q, r, h, field=F, unit=unit)  # raises if h has unit roots
     ratio = F.div(F.sub(1, a), F.add(1, a))
     if v:
@@ -355,7 +351,7 @@ def family_cta(q: int, r: int, u: int, v: int, a: int) -> FamilyResult:
     _require(math.gcd(r, q - 1) == 1, "need gcd(r, q-1) = 1")
     four = F.from_int(4)
     _require(a != 0 and F.pow(a, q + 1) == four, "need a^(q+1) = 4")
-    h = _unit_poly(F, {0: 1, t: F.neg(1), u + v * t: a})
+    h = Polynomial.from_terms(F, {0: 1, t: F.neg(1), u + v * t: a})
     wm = make_wrapped(q, r, h, field=F, unit=unit)
     lam = F.mul(F.from_int(2), F.inv(a))
     if v:
@@ -403,7 +399,7 @@ def family_ctkuv(q: int, r: int, u: int, v: int, k: int, a: int) -> FamilyResult
             "gcd(r-u, t) and gcd(r-2u, t) differ; no prediction in this regime"
         )
     d = d1
-    h = _unit_poly(F, {0: 1, k * t: F.neg(1), u + v * t: a})
+    h = Polynomial.from_terms(F, {0: 1, k * t: F.neg(1), u + v * t: a})
     wm = make_wrapped(q, r, h, field=F, unit=unit)
     inv_a = F.inv(a)
     z1 = unit.dlog(F.mul(inv_a, F.mul(one_minus_ek, F.pow(eps, v))))
@@ -429,7 +425,7 @@ def family_b1(q: int, ell: int, r: int, v: int, a: int) -> FamilyResult:
     t = (q + 1) // ell
     _require(0 <= v < ell, "need 0 <= v < ell")
     _require(a != 0, "a must be nonzero")
-    h = _unit_poly(F, {0: 1, v * t: a} if v else {0: F.add(1, a)})
+    h = Polynomial.from_terms(F, {0: 1, v * t: a} if v else {0: F.add(1, a)})
     wm = make_wrapped(q, r, h, field=F, unit=unit)
     return FamilyResult("B1", wm, xrh_valid_ms(F, r, h, q + 1), {})
 
@@ -442,7 +438,7 @@ def family_b2(q: int, ell: int, r: int, u: int, v: int, a: int) -> FamilyResult:
     _require(0 <= u < t and 0 <= v < ell, "need 0 <= u < t, 0 <= v < ell")
     _require(unit.contains(a), "a must lie on the unit circle")
     e = u + v * t
-    h = _unit_poly(F, {0: 1, e: a} if e else {0: F.add(1, a)})
+    h = Polynomial.from_terms(F, {0: 1, e: a} if e else {0: F.add(1, a)})
     wm = make_wrapped(q, r, h, field=F, unit=unit)
     return FamilyResult("B2", wm, xrh_valid_ms(F, r, h, q + 1), {})
 
@@ -454,7 +450,7 @@ def family_b3(q: int, ell: int, r: int, v: int, a: int) -> FamilyResult:
     _require(0 <= v < ell, "need 0 <= v < ell")
     _require(a != 0, "a must be nonzero")
     e = (1 + 2 * v) * (q + 1) // (2 * ell)
-    h = _unit_poly(F, {0: 1, e: a})
+    h = Polynomial.from_terms(F, {0: 1, e: a})
     wm = make_wrapped(q, r, h, field=F, unit=unit)
     return FamilyResult("B3", wm, xrh_valid_ms(F, r, h, q + 1), {})
 
@@ -465,7 +461,7 @@ def family_t4(q: int, r: int, a: int) -> FamilyResult:
     _require((q + 1) % 6 == 0, "need 6 | q+1")
     _require(a != 0, "a must be nonzero")
     t6 = (q + 1) // 6
-    h = _unit_poly(F, {0: 1, t6: a, 5 * t6: F.neg(F.inv(a))})
+    h = Polynomial.from_terms(F, {0: 1, t6: a, 5 * t6: F.neg(F.inv(a))})
     wm = make_wrapped(q, r, h, field=F, unit=unit)
     return FamilyResult("T4", wm, xrh_valid_ms(F, r, h, q + 1), {})
 
@@ -476,31 +472,25 @@ def family_t5(q: int, r: int, a: int) -> FamilyResult:
     _require((q + 1) % 6 == 0, "need 6 | q+1")
     _require(a != 0, "a must be nonzero")
     t6 = (q + 1) // 6
-    h = _unit_poly(F, {0: 1, 5 * t6: a, t6: F.neg(F.inv(a))})
+    h = Polynomial.from_terms(F, {0: 1, 5 * t6: a, t6: F.neg(F.inv(a))})
     wm = make_wrapped(q, r, h, field=F, unit=unit)
     return FamilyResult("T5", wm, xrh_valid_ms(F, r, h, q + 1), {})
 
 
-_FAMILIES = {
-    "CBU": family_cbu,
-    "CB0": family_cb0,
-    "CTAB": family_ctab,
-    "CTA": family_cta,
-    "CTKUV": family_ctkuv,
-    "B1": family_b1,
-    "B2": family_b2,
-    "B3": family_b3,
-    "T4": family_t4,
-    "T5": family_t5,
-}
+# The named families; family_<id> (lower case) constructs each one.
+_FAMILY_IDS = ("CBU", "CB0", "CTAB", "CTA", "CTKUV", "B1", "B2", "B3", "T4", "T5")
 
 
 def family_function(family_id: str):
-    """The constructor of a named family; the name is matched in any case."""
-    try:
-        return _FAMILIES[family_id.upper()]
-    except KeyError:
-        raise ValueError(f"unknown family {family_id!r}") from None
+    """The constructor of a named family; the name is matched in any case.
+
+    It is looked up in this module's bindings at call time, so a wrapper
+    installed on `family_<id>` sees the call.
+    """
+    name = family_id.upper()
+    if name not in _FAMILY_IDS:
+        raise ValueError(f"unknown family {family_id!r}")
+    return globals()[f"family_{name.lower()}"]
 
 
 def family_construct(spec: FamilySpec) -> FamilyResult:

@@ -54,3 +54,16 @@ def test_traced_sweep_counts_one_criterion_call_per_case(tracer_module):
     assert agg["counters"].get("mto1.criterion.applicable", 0) == applicable
     assert agg["calls"]["search.driver"] == 2
     assert agg["counters"]["search.cases"] == cases
+
+
+def test_traced_family_construct_counts_one_family_call(tracer_module):
+    from cyclomap.unitary import FamilySpec, family_construct
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        result = family_construct(FamilySpec("T4", {"q": 5, "r": 1, "a": 1}))
+    finally:
+        tracer.uninstall()
+    assert result.family_id == "T4"
+    assert tracer.aggregate()["calls"]["unitary.family"] == 1

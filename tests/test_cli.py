@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cyclomap import (
     BranchMap,
@@ -134,6 +136,27 @@ def test_incomplete_or_out_of_range_input_is_a_usage_error(argv):
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_VERIFY_L2_F5 = ["verify", "--criterion", "l2", "--field", "5", "--ell", "2"]
+_ENUMERATE_F5 = ["enumerate", "--field", "5", "--ell", "2", "--m", "2"]
+
+
+@pytest.mark.parametrize("base, one_end, other_end", [
+    (_VERIFY_L2_F5, ["--a-max", "2"], ["--a-min", "0"]),
+    (_VERIFY_L2_F5, ["--m-max", "2"], ["--m-min", "1"]),
+    (_VERIFY_L2_F5, ["--m-min", "2"], ["--m-max", "4"]),
+    (_ENUMERATE_F5, ["--a-max", "2"], ["--a-min", "0"]),
+    (_ENUMERATE_F5, ["--r-max", "2"], ["--r-min", "1"]),
+    (_ENUMERATE_F5, ["--r-min", "3"], ["--r-max", "4"]),
+])
+def test_a_window_with_one_end_takes_the_default_other_end(base, one_end, other_end):
+    # with only --a-max, --m-max or --r-max these ended in a TypeError
+    # traceback, and a lone --m-min, --a-min or --r-min was ignored
+    code, out, err = run_cli(["--json", *base, *one_end])
+    assert code == 0 and err == ""
+    assert (code, out, err) == run_cli(["--json", *base, *one_end, *other_end])
+    assert out != run_cli(["--json", *base])[1]
 
 
 def test_field_info_degree_40_in_a_fresh_process():
@@ -381,3 +404,77 @@ def test_verify_config_with_unknown_criterion(tmp_path):
 def test_unit_family_usage_errors(argv, message):
     code, out, err = run_cli(["unit-family", *argv])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# -- property test: any drawn command line ends in exit 0, 1 or 2 -------------
+
+_FIELDS = ("5", "13", "3^2", "2^4")
+_exponents = st.integers(-5, 40)
+_ells = st.integers(0, 7)
+_ATOMS = {
+    "power": _exponents.map(lambda k: f"g^{k}"),
+    "int": st.integers(0, 200).map(str),
+    "vector": st.tuples(st.integers(0, 200), st.integers(0, 200)).map(
+        lambda c: f"[{c[0]},{c[1]}]"),
+    "zero": st.just("0"),
+}
+# powers of g are nonzero in every field, so most drawn maps get past parsing
+_element = st.sampled_from(("power", "power", "power", "int", "vector", "zero")).flatmap(
+    _ATOMS.__getitem__)
+
+
+@st.composite
+def _branch_argv(draw, ell=None):
+    """--field, --ell and --branches; most draws have one branch per coset."""
+    field_id = draw(st.sampled_from(_FIELDS))
+    q = field_from_id(field_id).q
+    if ell is None:
+        ell = draw(st.one_of(
+            st.sampled_from([d for d in range(1, 8) if (q - 1) % d == 0]), _ells))
+    else:
+        ell = draw(st.one_of(st.just(ell), _ells))
+    count = draw(st.one_of(st.just(ell), st.just(ell), st.integers(1, 7)))
+    branches = ",".join(f"{draw(_element)}:{draw(_exponents)}" for _ in range(count))
+    return [f"--field={field_id}", f"--ell={ell}", f"--branches={branches}"]
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(
+        ("cyc-classify", "relation", "expand", "crit", "unit-classify")))
+    if command == "unit-classify":
+        q = draw(st.sampled_from((5, 13, 9, 16)))
+        terms = draw(st.lists(st.tuples(_element, st.integers(0, 40)), min_size=1, max_size=3))
+        h = "+".join(f"{a}*x^{k}" for a, k in terms)
+        argv = [command, f"--q={q}", f"--r={draw(_exponents)}", f"--h={h}"]
+        for flag, values in (("--gen-exp", _exponents), ("--m", _exponents), ("--ell", _ells)):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(values)}")
+    elif command == "crit":
+        theorem = draw(st.sampled_from(("l2", "l3", "2to1", "equal-d")))
+        ell = {"l2": 2, "l3": 3}.get(theorem)
+        argv = [command, f"--theorem={theorem}", *draw(_branch_argv(ell)),
+                f"--m={draw(_exponents)}"]
+    else:
+        argv = [command, *draw(_branch_argv())]
+        if command == "cyc-classify":
+            argv.append(f"--domain={draw(st.sampled_from(('fq', 'fqstar')))}")
+        elif command == "relation":
+            argv += [f"--i={draw(st.integers(-2, 6))}", f"--j={draw(st.integers(-2, 6))}"]
+        elif draw(st.booleans()):
+            argv.append("--scaled")
+    if draw(st.booleans()):
+        argv.insert(0, "--json")
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_argv())
+def test_cli_ends_in_an_exit_code_for_any_drawn_input(argv):
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0 or (code == 2 and out):  # a result, or an inapplicable verdict
+        assert out and err == "", (argv, err)
+    else:
+        assert out == "" and err.count("\n") == 1, (argv, err)

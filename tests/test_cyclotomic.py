@@ -77,6 +77,57 @@ def test_index_must_divide(f13):
         decompose(multiplicative_group(f13), 5)
 
 
+@pytest.mark.parametrize("p,n", [(13, 1), (5, 2), (2, 6)])
+def test_group_context_every_order_and_generator(p, n):
+    F = make_field(p, n)
+    for order in divisors(F.q - 1):
+        default = subgroup_of_order(F, order)
+        assert default.generator == F.exp_at((F.q - 1) // order)
+        gens = [x for x in range(1, F.q)
+                if F.pow(x, order) == 1
+                and all(F.pow(x, k) != 1 for k in range(1, order))]
+        assert default.generator in gens
+        for gen in gens:
+            ctx = subgroup_of_order(F, order, generator=gen)
+            for k in range(order):
+                x = ctx.element(k)
+                assert x == F.pow(gen, k)
+                assert ctx.dlog(x) == k
+            members = [x for x in range(F.q) if ctx.contains(x)]
+            assert members == [x for x in range(F.q)
+                               if x != 0 and F.pow(x, order) == 1]
+            outside = [0, F.q] + [x for x in range(1, F.q) if x not in members][:5]
+            dec = decompose(ctx, 1)
+            bm = BranchMap(dec, [(1, 1)])
+            for x in outside:
+                for call in (ctx.dlog, dec.coset_of, bm.eval):
+                    with pytest.raises(NotInGroup):
+                        call(x)
+
+
+@pytest.mark.parametrize("p,n", [(19, 1), (2, 6)])
+def test_group_context_rejects_bad_generators(p, n):
+    from cyclomap.errors import NotPrimitive
+
+    F = make_field(p, n)
+    index = (F.q - 1) // 9
+    # zero, not a code, the field's generator, order 3 (inside), order 2 or 7 (outside)
+    for gen in (0, F.q, F.generator, F.exp_at(3 * index), F.exp_at(9)):
+        with pytest.raises(NotPrimitive):
+            subgroup_of_order(F, 9, generator=gen)
+    with pytest.raises(NotPrimitive):
+        subgroup_of_order(F, F.q - 1, generator=F.exp_at(3))  # 3 divides q-1
+    with pytest.raises(IndexNotDividingOrder):
+        subgroup_of_order(F, 5)
+
+
+def test_multiplicative_group_needs_no_log_above_the_table_limit():
+    F = make_field(2, 21, log_threshold=1 << 10)
+    ctx = multiplicative_group(F)
+    assert ctx.is_full and F._bsgs_baby is None and F._log is None
+    assert ctx.element(5) == F.pow(F.generator, 5)
+
+
 def test_subgroup_generator_order_checked(f64):
     from cyclomap.errors import NotPrimitive
 

@@ -160,6 +160,18 @@ def test_lift_rejects_nonzero_roots(f5):
         lift_to_full_field(shifted, f5, 1)
 
 
+def test_lift_evaluates_each_point_once(f13):
+    calls = Counter()
+
+    def cube(x):
+        calls[x] += 1
+        return f13.pow(x, 3)
+
+    v = lift_to_full_field(cube, f13, 3)
+    assert v.holds  # x^3 is 3-to-1 on GF(13)*, and 3 does not divide 13
+    assert sorted(calls) == list(range(f13.q)) and set(calls.values()) == {1}
+
+
 def test_lift_parity_clause(f13):
     bm = _bm(f13, 2, [(1, 2), (12, 4)])  # 2-to-1 on the star
     v = lift_to_full_field(bm, f13, 2)

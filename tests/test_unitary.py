@@ -15,6 +15,7 @@ from cyclomap import (
     unit_circle,
     xrh_valid_ms,
 )
+from cyclomap import unitary
 from cyclomap.errors import (
     ConstraintViolated,
     GcdHypothesis,
@@ -445,6 +446,14 @@ def test_family_construct_dispatch():
     assert res.family_id == "CBU"
     with pytest.raises(ValueError):
         family_construct(FamilySpec("nope", {}))
+    # the ten ids resolve to this module's family_<id> bindings, nothing else
+    for fid in ("CBU", "CB0", "CTAB", "CTA", "CTKUV", "B1", "B2", "B3", "T4", "T5"):
+        fn = unitary.family_function(fid.lower())
+        assert fn is getattr(unitary, f"family_{fid.lower()}")
+        assert unitary.family_function(fid) is fn
+    for name in ("construct", "function", "", "t6"):
+        with pytest.raises(ValueError, match="unknown family"):
+            unitary.family_function(name)
 
 
 def test_family_predictions_are_generator_independent():
