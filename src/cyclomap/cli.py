@@ -382,6 +382,8 @@ def _cmd_verify(args, registry, config):
         raise CyclomapError("verify needs --criterion, --field and --ell (or a config)")
     r_min = pick(args.r_min, "r_min", 1)
     r_max = pick(args.r_max, "r_max")
+    a_min = pick(args.a_min, "a_min")
+    a_max = pick(args.a_max, "a_max")
     m_min = pick(args.m_min, "m_min")
     m_max = pick(args.m_max, "m_max")
     mode = pick(args.mode, "mode", "exhaustive", str)
@@ -395,7 +397,7 @@ def _cmd_verify(args, registry, config):
         field_id=field_id,
         ell=ell,
         r_range=(r_min, r_max if r_max is not None else q - 1),
-        a_exp_range=_window(args.a_min, args.a_max, (0, q - 2)),
+        a_exp_range=_window(a_min, a_max, (0, q - 2)),
         m_range=_window(m_min, m_max, (1, q - 1)),
         mode=mode,
         samples=samples,

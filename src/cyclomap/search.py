@@ -299,6 +299,8 @@ def enumerate_mto1(field: Field, ell: int, m: int, a_exp_range=None,
     """
     if m < 1:
         raise ValueError(f"m={m} must be at least 1")
+    if m > field.q - 1:
+        raise ValueError(f"m={m} exceeds the group order {field.q - 1}")
     decomp = CosetDecomposition(multiplicative_group(field), ell)
     a_lo, a_hi = a_exp_range or (0, field.q - 2)
     r_lo, r_hi = r_range or (1, field.q - 1)

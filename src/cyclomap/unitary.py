@@ -3,10 +3,10 @@
 f(x) = x^r h(x^(q-1)) on GF(q^2)* corresponds to g(x) = x^r h(x)^(q-1) on
 the norm-one subgroup U of order q+1.  When g acts as a monomial on each
 coset of a subgroup of U the branch criteria apply verbatim with the unit
-generator's logs; otherwise g is classified directly (it only has q+1
-points).  The oracle classifies f itself as the index-(q+1) cyclotomic map
-it is.  Binomial/trinomial families with closed-form multiplicity
-predictions are constructed here as well.
+generator's logs.  x^r h(x^s), s = (q-1)/l, is the index-l branch map
+(h(zeta^i), r), zeta = g^s: `criterion_equal_d` decides its subgroup
+reduction, and the oracle classifies f as that map at l = q+1.  Named
+binomial/trinomial families with closed-form predictions live here too.
 """
 
 from __future__ import annotations
@@ -180,8 +180,9 @@ def criterion_wrapped(wm: WrappedMap, m: int, ell: int | None = None) -> Criteri
     """m-to-1 of f over GF(q^2)* decided on the unit circle.
 
     With a coset index and monomial branches, the two-branch or
-    equal-multiplicity branch criterion runs with unit-circle logs and is
-    conjoined with the wrapping bound; otherwise g is classified directly.
+    equal-multiplicity criterion runs with unit-circle logs, conjoined with the
+    wrapping bound.  Otherwise it is `criterion_equal_d` on f's index-(q+1)
+    branch map as in `criterion_xrh`, with d = 1 and the wrapping bound as size bound.
     """
     q = wm.base_q
     if math.gcd(wm.r, q - 1) != 1:
@@ -189,9 +190,8 @@ def criterion_wrapped(wm: WrappedMap, m: int, ell: int | None = None) -> Criteri
     if not 1 <= m <= q + 1:
         return _na("m-out-of-range")
     wrap_ok = _wrap_bound_ok(q, m)
-    g = reduce_to_unit(wm)
     if ell is not None:
-        bm = infer_monomial_branches(g, ell)
+        bm = infer_monomial_branches(reduce_to_unit(wm), ell)
         if bm is not None:
             inner = None
             if ell == 2:
@@ -203,15 +203,27 @@ def criterion_wrapped(wm: WrappedMap, m: int, ell: int | None = None) -> Criteri
             if inner is not None and inner.applicable:
                 if not wrap_ok:
                     return _no(f"unit {path}: wrapping bound fails")
-                if inner.holds:
-                    return _yes(f"unit {path}: {inner.witness}")
-                return _no(f"unit {path}: {inner.witness}")
-    report = classify_unit_mapping(g)
+                return CriterionVerdict(True, inner.holds, f"unit {path}: {inner.witness}")
     if not wrap_ok:
         return _no("unit oracle: wrapping bound fails")
-    if m in report.valid_ms:
+    if criterion_equal_d(_xrh_branch_map(wm.field, wm.r, wm.h, q + 1), m).holds:
         return _yes("unit oracle: g is m-to-1 and wrapping bound holds")
     return _no("unit oracle: g is not m-to-1")
+
+
+def _xrh_branch_map(field: Field, r: int, h: Polynomial, ell: int) -> BranchMap:
+    """x^r h(x^s), s = (q-1)/ell, as the index-ell branch map of F_q*: x = g^k
+    has x^s = zeta^(k mod ell) with zeta = g^s, so branch i is (h(zeta^i), r)."""
+    N = field.q - 1
+    if ell < 1 or N % ell:
+        raise IndexNotDividingOrder(f"{ell} does not divide {N}")
+    branches = []
+    for zeta_i in subgroup_of_order(field, ell):
+        val = h.eval(zeta_i)
+        if val == 0:
+            raise RootOnUnitCircle("h vanishes on the subgroup", point=zeta_i)
+        branches.append((val, r))
+    return BranchMap(CosetDecomposition(multiplicative_group(field), ell), branches)
 
 
 def criterion_xrh(field: Field, r: int, h: Polynomial, ell: int, m: int) -> CriterionVerdict:
@@ -219,34 +231,22 @@ def criterion_xrh(field: Field, r: int, h: Polynomial, ell: int, m: int) -> Crit
 
     f(x) = x^r h(x^s) with s = (q-1)/ell is m-to-1 on F_q* iff d = gcd(r, s)
     divides m, x^(r/d) h(x)^(s/d) is (m/d)-to-1 on the order-ell subgroup,
-    and s*(ell mod (m/d)) < m.
+    and s*(ell mod (m/d)) < m: `criterion_equal_d` on f's index-ell branch
+    map, as the reduced map's log at zeta^i is (s/d)(i*r + log h(zeta^i)).
     """
-    valid = xrh_valid_ms(field, r, h, ell)
+    bm = _xrh_branch_map(field, r, h, ell)
     if not 1 <= m <= field.q - 1:
         return _na("m-out-of-range")
-    if m in valid:
+    if criterion_equal_d(bm, m).holds:
         return _yes("reduced subgroup map is (m/d)-to-1 within the size bound")
     return _no("reduction clause fails")
 
 
 def xrh_valid_ms(field: Field, r: int, h: Polynomial, ell: int) -> frozenset[int]:
-    """All admissible m for f(x) = x^r h(x^s), via the subgroup reduction."""
-    N = field.q - 1
-    if ell < 1 or N % ell:
-        raise IndexNotDividingOrder(f"{ell} does not divide {N}")
-    s = N // ell
-    sub = subgroup_of_order(field, ell)
-    for x in sub:
-        if h.eval(x) == 0:
-            raise RootOnUnitCircle("h vanishes on the subgroup", point=x)
-    d = math.gcd(r, s)
-    r1, s1 = r // d, s // d
-    pairs = []
-    for x in sub:
-        gx = field.mul(field.pow(x, r1), field.pow(h.eval(x), s1))
-        pairs.append((x, gx))
-    report = classify_pairs(pairs, order_key=sub.dlog)
-    return frozenset(d * v for v in report.valid_ms if s * (ell % v) < d * v)
+    """All m for which `criterion_xrh` holds; they lie among d, 2d, ..., ell*d."""
+    bm = _xrh_branch_map(field, r, h, ell)
+    d = bm.multiplicities[0]
+    return frozenset(m for m in range(d, ell * d + 1, d) if criterion_equal_d(bm, m).holds)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,7 @@ def test_exit_codes():
     ["enumerate", "--field", "13", "--ell", "2", "--m", "0"],
     ["classify", "--field", "5", "--poly", "(" * 3000 + "x" + ")" * 3000],
     ["field-info", "--field", "13", "--generator", "[2"],
+    ["enumerate", "--field", "13", "--ell", "3", "--m", "13"],
 ])
 def test_incomplete_or_out_of_range_input_is_a_usage_error(argv):
     # each of these once escaped as a traceback (or, for m=0, scanned the
@@ -385,6 +386,16 @@ def test_crit_cor56_bad_input_is_one_line(argv, exit_code):
     assert code == exit_code and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("not applicable: " if exit_code == 2 else "error: ")
+
+
+def test_verify_reads_the_a_window_from_a_config(tmp_path):
+    # a config's a_min/a_max were ignored: a_max = 1 ran all 1024 cases
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("criterion = l2\nfield = 5\nell = 2\na_min = 0\na_max = 1\n")
+    from_config = run_cli(["--json", "--config", str(cfg), "verify"])
+    from_flags = run_cli(["--json", *_VERIFY_L2_F5, "--a-max", "1"])
+    assert from_config == from_flags
+    assert json.loads(from_config[1])["total_cases"] == 256
 
 
 def test_verify_config_with_unknown_criterion(tmp_path):

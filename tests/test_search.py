@@ -198,6 +198,17 @@ def test_enumerate_respects_limit_and_verifies(f13):
         assert 3 in branch_map_valid_ms(bm)
 
 
+def test_enumerate_rejects_m_above_the_group_order(f13, monkeypatch):
+    # no map of F_13* is 13-to-1; the stream used to walk all 3*10^6 maps
+    from cyclomap import search
+
+    built = []
+    monkeypatch.setattr(search, "BranchMap", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="m=13 exceeds the group order 12"):
+        next(enumerate_mto1(f13, 3, 13))
+    assert built == []
+
+
 def test_enumerate_f17_2to1_all_pass_criterion():
     from cyclomap import criterion_2to1_any_l
 

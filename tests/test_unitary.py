@@ -10,6 +10,7 @@ from cyclomap import (
     criterion_xrh,
     eval_wrapped,
     infer_monomial_branches,
+    make_field,
     make_wrapped,
     reduce_to_unit,
     unit_circle,
@@ -20,6 +21,7 @@ from cyclomap.errors import (
     ConstraintViolated,
     GcdHypothesis,
     HypothesisViolated,
+    IndexNotDividingOrder,
     RootOnUnitCircle,
 )
 from cyclomap.search import SplitMix64, sample_rng
@@ -299,6 +301,100 @@ def test_criterion_xrh_on_base_field(f13):
         assert valid == direct, r
         for m in range(1, 13):
             assert criterion_xrh(f13, r, h, 3, m).holds == (m in direct)
+
+
+def _direct_valid_ms(F, r, h, s):
+    """Valid m of x^r h(x^s) on F_q*, by counting preimages point by point."""
+    h_at = {}
+    fibers = Counter()
+    for x in range(1, F.q):
+        y = F.pow(x, s)
+        if y not in h_at:
+            h_at[y] = h.eval(y)
+        fibers[F.mul(F.pow(x, r), h_at[y])] += 1
+    hist = Counter(fibers.values())
+    return {m for m in range(1, F.q) if hist.get(m, 0) == (F.q - 1) // m}
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (17, 1), (5, 2), (2, 6), (3, 4)])
+def test_xrh_reduction_matches_a_direct_count(p, n):
+    # every index and every r in 1..q-1, so d = gcd(r, s) > 1 is covered;
+    # criterion_xrh rebuilds the branch map per call, so on GF(2^6) and
+    # GF(3^4) its sweep over every m runs for r <= 4 only
+    F = make_field(p, n)
+    N = F.q - 1
+    for ell in (e for e in range(1, N + 1) if N % e == 0):
+        s = N // ell
+        for j in range(2):
+            rng = sample_rng(31 * F.q + ell, j)
+            h = Polynomial(F, [1 + rng.randrange(N), rng.randrange(F.q), rng.randrange(F.q)])
+            if any(h.eval(F.exp_at(s * i)) == 0 for i in range(ell)):
+                continue
+            for r in range(1, F.q):
+                direct = _direct_valid_ms(F, r, h, s)
+                assert xrh_valid_ms(F, r, h, ell) == direct, (ell, j, r)
+                if F.q > 25 and r > 4:
+                    continue
+                for m in range(F.q + 1):
+                    v = criterion_xrh(F, r, h, ell, m)
+                    assert v.applicable == (1 <= m <= N)
+                    assert v.holds == ((m in direct) if v.applicable else None)
+        # a root on the subgroup
+        zeta = F.exp_at(s * (ell // 2))
+        h = Polynomial.from_terms(F, {1: 1, 0: F.neg(zeta)})
+        for call in (lambda: xrh_valid_ms(F, 1, h, ell), lambda: criterion_xrh(F, 1, h, ell, 1)):
+            with pytest.raises(RootOnUnitCircle, match="^h vanishes on the subgroup$") as exc:
+                call()
+            assert exc.value.point == zeta
+    with pytest.raises(IndexNotDividingOrder, match=f"^{N + 1} does not divide {N}$"):
+        xrh_valid_ms(F, 1, Polynomial(F, (1,)), N + 1)
+
+
+def test_criterion_wrapped_with_another_unit_generator():
+    # the fallback does not depend on which generator the unit circle has,
+    # and names the wrapping bound when that is what fails
+    for q in (4, 7, 9):
+        F = ext_field_for(q)
+        unit = unit_circle(F, q, generator=F.exp_at((q - 1) * 3))
+        for _, _, r, h in _random_rootfree(q, 11 * q, 25):
+            wm = make_wrapped(q, r, h, field=F, unit=unit)
+            oracle = classify_wrapped(wm).valid_ms
+            for m in range(1, q + 2):
+                v = criterion_wrapped(wm, m)
+                assert v.holds == (m in oracle), (q, r, m)
+                if not unitary._wrap_bound_ok(q, m):
+                    assert v.witness == "unit oracle: wrapping bound fails"
+                elif v.holds:
+                    assert v.witness == "unit oracle: g is m-to-1 and wrapping bound holds"
+                else:
+                    assert v.witness == "unit oracle: g is not m-to-1"
+
+
+def test_reductions_and_families_make_no_point_count(monkeypatch, f13):
+    # xrh_valid_ms, criterion_xrh, criterion_wrapped's fallback and the
+    # B/T families decide from branch data; none classifies explicit pairs
+    calls = []
+    real = unitary.classify_pairs
+    monkeypatch.setattr(unitary, "classify_pairs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    q = 5
+    for fam, kwargs in (
+        (family_b1, dict(ell=2, r=3, v=0, a=1)),
+        (family_b2, dict(ell=3, r=5, u=0, v=0, a=1)),
+        (family_b3, dict(ell=1, r=1, v=0, a=2)),
+        (family_t4, dict(r=5, a=1)),
+        (family_t5, dict(r=5, a=1)),
+    ):
+        res = fam(q=q, **kwargs)
+        assert res.predicted_ms == classify_wrapped(res.wrapped).valid_ms
+    h = Polynomial.from_terms(f13, {0: 1, 1: 2})
+    xrh_valid_ms(f13, 4, h, 3)
+    for m in range(14):
+        criterion_xrh(f13, 4, h, 3, m)
+    for F, unit, r, h in _random_rootfree(q, 5, 3):
+        wm = make_wrapped(q, r, h, field=F, unit=unit)
+        for m in range(q + 3):
+            criterion_wrapped(wm, m)
+    assert calls == []
 
 
 # -- families ------------------------------------------------------------------------
