@@ -29,7 +29,6 @@ from .notation import (
     parse_branches,
     parse_config,
     parse_element,
-    parse_field_id,
     parse_generator,
     parse_polynomial,
 )
@@ -343,19 +342,11 @@ def _cmd_unit_family(args, registry):
     return 0
 
 
-def _window(lo, hi, default):
-    """(lo, hi) with a missing end taken from default; None when both are missing."""
-    if lo is None and hi is None:
-        return None
-    return (default[0] if lo is None else lo, default[1] if hi is None else hi)
-
-
 def _cmd_enumerate(args, registry):
     F = _load_field(args, registry)
-    a_rng = _window(args.a_min, args.a_max, (0, F.q - 2))
-    r_rng = _window(args.r_min, args.r_max, (1, F.q - 1))
     maps = []
-    for bm in enumerate_mto1(F, args.ell, args.m, a_rng, r_rng, args.limit):
+    for bm in enumerate_mto1(F, args.ell, args.m, (args.a_min, args.a_max),
+                             (args.r_min, args.r_max), args.limit):
         maps.append(",".join(f"{format_element(F, a)}:{r}" for a, r in bm.branches))
     payload = {
         "field": F.id_str(),
@@ -368,47 +359,33 @@ def _cmd_enumerate(args, registry):
 
 
 def _cmd_verify(args, registry, config):
-    def pick(flag, key, default=None, cast=int):
-        if flag is not None:
-            return flag
-        if key in config:
-            return cast(config[key])
-        return default
+    # a flag wins over its config key; what neither gives, SweepSpec fills
+    def pick(name, cast=int):
+        flag = getattr(args, name)
+        if flag is None and name in config:
+            return cast(config[name])
+        return flag
 
-    criterion = pick(args.criterion, "criterion", cast=str)
-    field_id = pick(args.field, "field", cast=str)
-    ell = pick(args.ell, "ell")
+    criterion, field_id = pick("criterion", str), pick("field", str)
+    ell = pick("ell")
     if criterion is None or field_id is None or ell is None:
         raise CyclomapError("verify needs --criterion, --field and --ell (or a config)")
-    r_min = pick(args.r_min, "r_min", 1)
-    r_max = pick(args.r_max, "r_max")
-    a_min = pick(args.a_min, "a_min")
-    a_max = pick(args.a_max, "a_max")
-    m_min = pick(args.m_min, "m_min")
-    m_max = pick(args.m_max, "m_max")
-    mode = pick(args.mode, "mode", "exhaustive", str)
-    samples = pick(args.samples, "samples", 10_000)
-    seed = pick(args.seed, "seed", 0)
-    cap = pick(args.cap, "cap", 10_000_000)
-    p, n = parse_field_id(field_id)
-    q = p ** n
+    scalars = {"mode": pick("mode", str), "samples": pick("samples"),
+               "seed": pick("seed"), "cap": pick("cap")}
     spec = SweepSpec(
         criterion=criterion,
         field_id=field_id,
         ell=ell,
-        r_range=(r_min, r_max if r_max is not None else q - 1),
-        a_exp_range=_window(a_min, a_max, (0, q - 2)),
-        m_range=_window(m_min, m_max, (1, q - 1)),
-        mode=mode,
-        samples=samples,
-        seed=seed,
-        cap=cap,
+        r_range=(pick("r_min"), pick("r_max")),
+        a_exp_range=(pick("a_min"), pick("a_max")),
+        m_range=(pick("m_min"), pick("m_max")),
+        **{name: value for name, value in scalars.items() if value is not None},
     )
     report = differential_verify(spec, jobs=args.jobs, registry=registry)
     if args.json:
         print(report.to_json(include_runtime=args.stats))
     else:
-        print(f"criterion {criterion} on GF({field_id}), ell={ell}, mode={mode}")
+        print(f"criterion {criterion} on GF({field_id}), ell={ell}, mode={report.mode}")
         print(f"cases: {report.total_cases} ({report.applicable_cases} applicable)")
         print(f"mismatches: {len(report.mismatches)}")
         if args.stats:

@@ -107,14 +107,9 @@ def branch_map_fibers(bm: BranchMap) -> dict[int, int]:
     return fibers
 
 
-def _fiber_sizes(fibers: dict[int, int], include_zero: bool):
-    """Fiber sizes over the group, plus the fiber {0} of 0 -> 0 with include_zero."""
-    return [*fibers.values(), 1] if include_zero else fibers.values()
-
-
-def branch_map_valid_ms(bm: BranchMap, include_zero: bool = False) -> frozenset[int]:
-    """Admissible m set by brute force; fast path for sweeps."""
-    return _multiplicities(_fiber_sizes(branch_map_fibers(bm), include_zero))[2]
+def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:
+    """Admissible m set over the group by brute force; fast path for sweeps."""
+    return _multiplicities(branch_map_fibers(bm).values())[2]
 
 
 def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
@@ -145,7 +140,9 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
         zero = (0,) if include_zero and m != 1 else ()
         return zero + tuple(ctx.element(k) for k in ks)
 
-    return Mto1Report(_fiber_sizes(fibers, include_zero), exceptional)
+    # with include_zero, 0 -> 0 adds the fiber {0}
+    sizes = [*fibers.values(), 1] if include_zero else fibers.values()
+    return Mto1Report(sizes, exceptional)
 
 
 def classify_polynomial(poly: Polynomial, domain: str | tuple = "fqstar") -> Mto1Report:
@@ -193,18 +190,16 @@ def _na(witness: str) -> CriterionVerdict:
 # Lifting from the unit group to the whole field.
 # ---------------------------------------------------------------------------
 
-def lift_to_full_field(fn, field, m: int, star_valid=None) -> CriterionVerdict:
+def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
     """m-to-1 on F_q from m-to-1 on F_q*, for maps whose only root is 0.
 
     fn: BranchMap (over the full group), Polynomial, or callable on codes,
-    evaluated once per point of F_q.  star_valid: the valid m on F_q*, when
-    the caller already has them.  Raises HypothesisViolated when f(0) != 0
-    or some nonzero root exists.
+    evaluated once per point of F_q.  Raises HypothesisViolated when
+    f(0) != 0 or some nonzero root exists.
     """
     if isinstance(fn, BranchMap):
         zero_image = 0  # branch constants are nonzero, so no root but 0
-        if star_valid is None:
-            star_valid = branch_map_valid_ms(fn)
+        star_valid = branch_map_valid_ms(fn)
     else:
         evaluate = fn.eval if isinstance(fn, Polynomial) else fn
         zero_image = evaluate(0)
@@ -216,8 +211,7 @@ def lift_to_full_field(fn, field, m: int, star_valid=None) -> CriterionVerdict:
                     f"nonzero root {x}: the map must vanish only at 0"
                 )
             fibers[y] += 1
-        if star_valid is None:
-            star_valid = _multiplicities(fibers.values())[2]
+        star_valid = _multiplicities(fibers.values())[2]
     if zero_image != 0:
         raise HypothesisViolated("the map must fix 0")
     on_star = m in star_valid

@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field
-from itertools import product
+import time
+from dataclasses import dataclass, field as dc_field, replace
+from itertools import islice, product
 
 from .cyclotomic import BranchMap, CosetDecomposition, multiplicative_group
 from .errors import CapExceeded, HypothesisError
@@ -60,33 +61,65 @@ def sample_rng(seed: int, index: int) -> SplitMix64:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Parameter sweep for one criterion over one field and index."""
+    """Parameter sweep for one criterion over one field and index.
+
+    r_range, a_exp_range and m_range are inclusive (lo, hi) windows.  Either
+    end of any window may be None, and a_exp_range and m_range may be None
+    as a whole; `normalized` fills what is missing.
+    """
 
     criterion: str
     field_id: str
     ell: int
-    r_range: tuple[int, int]
-    a_exp_range: tuple[int, int] | None = None
-    m_range: tuple[int, int] | None = None
+    r_range: tuple[int | None, int | None]
+    a_exp_range: tuple[int | None, int | None] | None = None
+    m_range: tuple[int | None, int | None] | None = None
     mode: str = "exhaustive"
     samples: int = 10_000
     seed: int = 0
     cap: int = 10_000_000
 
     def normalized(self, field: Field) -> "SweepSpec":
-        from dataclasses import replace
+        """Every window filled: r (1, q−1), a (0, q−2) and m (1, q−1) by default.
 
+        A criterion that decides one fixed m sweeps (fixed_m, fixed_m) when
+        no m end is given.  Raises ValueError on an unknown criterion or
+        mode and on an empty window.
+        """
         entry = CRITERIA.get(self.criterion)
         if entry is None or not entry.sweep:
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        a_rng = self.a_exp_range or (0, field.q - 2)
-        if self.m_range is not None:
-            m_rng = self.m_range
-        elif entry.fixed_m is not None:
-            m_rng = (entry.fixed_m, entry.fixed_m)
-        else:
-            m_rng = (1, field.q - 1)
-        return replace(self, a_exp_range=a_rng, m_range=m_rng)
+        if self.mode not in ("exhaustive", "random"):
+            raise ValueError(f"unknown sweep mode {self.mode!r}")
+        q = field.q
+        m_default = (1, q - 1)
+        if entry.fixed_m is not None and self.m_range in (None, (None, None)):
+            m_default = (entry.fixed_m, entry.fixed_m)
+        return replace(
+            self,
+            r_range=_fill("r", self.r_range, (1, q - 1)),
+            a_exp_range=_fill("a", self.a_exp_range, (0, q - 2)),
+            m_range=_fill("m", self.m_range, m_default),
+        )
+
+
+def _fill(name: str, window, default: tuple[int, int]) -> tuple[int, int]:
+    """window with each missing end taken from default; ValueError if empty."""
+    lo, hi = window or (None, None)
+    lo = default[0] if lo is None else lo
+    hi = default[1] if hi is None else hi
+    if lo > hi:
+        raise ValueError(f"the {name} window {lo}..{hi} is empty")
+    return lo, hi
+
+
+def _span(window: tuple[int, int]) -> range:
+    return range(window[0], window[1] + 1)
+
+
+def _lattice(ell: int, a_window: range, r_window: range):
+    """Every (a_exps, rs) over two windows, in lexicographic order."""
+    return product(product(a_window, repeat=ell), product(r_window, repeat=ell))
 
 
 @dataclass
@@ -141,53 +174,56 @@ class MismatchReport:
         return json.dumps(self.to_json_dict(include_runtime), indent=2)
 
 
-def _exhaustive_tuples(spec: SweepSpec):
-    """(a_exps, rs) tuples in lexicographic order."""
-    a_lo, a_hi = spec.a_exp_range
-    r_lo, r_hi = spec.r_range
-    ell = spec.ell
-    return product(
-        product(range(a_lo, a_hi + 1), repeat=ell),
-        product(range(r_lo, r_hi + 1), repeat=ell),
+def _map_count(spec: SweepSpec) -> int:
+    """How many maps `_cases` yields for a normalized spec."""
+    if spec.mode == "random":
+        return spec.samples
+    return (len(_span(spec.a_exp_range)) * len(_span(spec.r_range))) ** spec.ell
+
+
+def _cases(spec: SweepSpec, field: Field, lo: int, hi: int):
+    """(index, a_exps, rs, ms) for maps lo..hi−1 of a normalized spec.
+
+    Exhaustive sweeps walk the windows' lexicographic product and try every
+    m of the m window on each map.  Random sweep j draws, from
+    sample_rng(seed, j) and uniformly inside the windows, a_exps, then r0,
+    then the other r, then one m; a criterion that needs equal gcds draws
+    the other r from the r window's exponents whose gcd with (q−1)/ell is r0's.
+    """
+    a_window, r_window, m_window = map(
+        _span, (spec.a_exp_range, spec.r_range, spec.m_range)
     )
+    if spec.mode == "exhaustive":
+        maps = islice(_lattice(spec.ell, a_window, r_window), lo, hi)
+        for index, (a_exps, rs) in enumerate(maps, start=lo):
+            yield index, a_exps, rs, m_window
+        return
+    s = (field.q - 1) // spec.ell
+    buckets = None
+    if CRITERIA[spec.criterion].equal_gcds:
+        buckets = {}
+        for r in r_window:
+            buckets.setdefault(math.gcd(r, s), []).append(r)
+    for index in range(lo, hi):
+        rng = sample_rng(spec.seed, index)
 
+        def pick(seq):
+            return seq[rng.randrange(len(seq))]
 
-def _count_exhaustive(spec: SweepSpec) -> int:
-    a_lo, a_hi = spec.a_exp_range
-    r_lo, r_hi = spec.r_range
-    return ((a_hi - a_lo + 1) * (r_hi - r_lo + 1)) ** spec.ell
-
-
-def _random_tuple(spec: SweepSpec, field: Field, index: int, gcd_buckets=None):
-    """Draw (a_exps, rs, m) for one sample; equal-gcd draws use buckets."""
-    rng = sample_rng(spec.seed, index)
-    N = field.q - 1
-    a_exps = tuple(rng.randrange(N) for _ in range(spec.ell))
-    if gcd_buckets is None:
-        rs = tuple(1 + rng.randrange(N) for _ in range(spec.ell))
-    else:
-        r0 = 1 + rng.randrange(N)
-        d = math.gcd(r0, N // spec.ell)
-        bucket = gcd_buckets[d]
-        rs = (r0,) + tuple(
-            bucket[rng.randrange(len(bucket))] for _ in range(spec.ell - 1)
-        )
-    m_lo, m_hi = spec.m_range
-    m = m_lo + rng.randrange(m_hi - m_lo + 1)
-    return a_exps, rs, m
+        a_exps = tuple(pick(a_window) for _ in range(spec.ell))
+        r0 = pick(r_window)
+        others = r_window if buckets is None else buckets[math.gcd(r0, s)]
+        rs = (r0,) + tuple(pick(others) for _ in range(spec.ell - 1))
+        yield index, a_exps, rs, (pick(m_window),)
 
 
 def differential_verify(spec: SweepSpec, *, criterion_fn=None, jobs: int = 1,
                         registry=None) -> MismatchReport:
     """Compare a criterion against the oracle over the swept space."""
-    import time
-
     start = time.perf_counter()
     field = field_from_id(spec.field_id, registry)
     spec = spec.normalized(field)
-    n_maps = (
-        _count_exhaustive(spec) if spec.mode == "exhaustive" else spec.samples
-    )
+    n_maps = _map_count(spec)
     projected_points = n_maps * (field.q - 1)
     if projected_points > spec.cap:
         raise CapExceeded(
@@ -227,7 +263,6 @@ def _run_chunk(args, criterion_fn=None) -> MismatchReport:
         if not entry.takes_m:
             fn = lambda bm, m, decide=fn: decide(bm)
     decomp = CosetDecomposition(multiplicative_group(field), spec.ell)
-    m_lo, m_hi = spec.m_range
     report = MismatchReport(
         criterion=spec.criterion,
         field_id=spec.field_id,
@@ -241,14 +276,7 @@ def _run_chunk(args, criterion_fn=None) -> MismatchReport:
             "samples": spec.samples if spec.mode == "random" else None,
         },
     )
-    gcd_buckets = None
-    if spec.mode == "random" and entry.equal_gcds:
-        s = (field.q - 1) // spec.ell
-        gcd_buckets = {}
-        for r in range(1, field.q):
-            gcd_buckets.setdefault(math.gcd(r, s), []).append(r)
-
-    def run_case(index, a_exps, rs, ms):
+    for index, a_exps, rs, ms in _cases(spec, field, lo, hi):
         bm = BranchMap(
             decomp, [(field.exp_at(e), r) for e, r in zip(a_exps, rs)]
         )
@@ -273,20 +301,6 @@ def _run_chunk(args, criterion_fn=None) -> MismatchReport:
                         "oracle": m in oracle,
                     }
                 )
-
-    if spec.mode == "exhaustive":
-        from itertools import islice
-
-        ms = range(m_lo, m_hi + 1)
-        window = islice(_exhaustive_tuples(spec), lo, hi)
-        for index, (a_exps, rs) in enumerate(window, start=lo):
-            run_case(index, a_exps, rs, ms)
-    elif spec.mode == "random":
-        for index in range(lo, hi):
-            a_exps, rs, m = _random_tuple(spec, field, index, gcd_buckets)
-            run_case(index, a_exps, rs, (m,))
-    else:
-        raise ValueError(f"unknown sweep mode {spec.mode!r}")
     return report
 
 
@@ -294,32 +308,32 @@ def enumerate_mto1(field: Field, ell: int, m: int, a_exp_range=None,
                    r_range=None, limit: int | None = None):
     """Lexicographic stream of branch maps whose oracle report admits m.
 
-    Every yielded map is re-verified by a second, element-level preimage
-    count before it leaves the generator.
+    The windows are filled and checked as `SweepSpec.normalized` fills its
+    a and r windows.  Every yielded map is re-verified by a second,
+    element-level preimage count before it leaves the generator.
     """
     if m < 1:
         raise ValueError(f"m={m} must be at least 1")
     if m > field.q - 1:
         raise ValueError(f"m={m} exceeds the group order {field.q - 1}")
+    a_window = _span(_fill("a", a_exp_range, (0, field.q - 2)))
+    r_window = _span(_fill("r", r_range, (1, field.q - 1)))
     decomp = CosetDecomposition(multiplicative_group(field), ell)
-    a_lo, a_hi = a_exp_range or (0, field.q - 2)
-    r_lo, r_hi = r_range or (1, field.q - 1)
     found = 0
-    for a_exps in product(range(a_lo, a_hi + 1), repeat=ell):
-        for rs in product(range(r_lo, r_hi + 1), repeat=ell):
-            if limit is not None and found >= limit:
-                return
-            bm = BranchMap(
-                decomp, [(field.exp_at(e), r) for e, r in zip(a_exps, rs)]
-            )
-            if m not in branch_map_valid_ms(bm):
-                continue
-            fibers = {}
-            for x in decomp.ctx:
-                y = bm.eval(x)
-                fibers[y] = fibers.get(y, 0) + 1
-            k = decomp.ctx.order // m
-            if sum(1 for c in fibers.values() if c == m) != k:
-                raise AssertionError("re-verification failed; oracle inconsistent")
-            found += 1
-            yield bm
+    for a_exps, rs in _lattice(ell, a_window, r_window):
+        if limit is not None and found >= limit:
+            return
+        bm = BranchMap(
+            decomp, [(field.exp_at(e), r) for e, r in zip(a_exps, rs)]
+        )
+        if m not in branch_map_valid_ms(bm):
+            continue
+        fibers = {}
+        for x in decomp.ctx:
+            y = bm.eval(x)
+            fibers[y] = fibers.get(y, 0) + 1
+        k = decomp.ctx.order // m
+        if sum(1 for c in fibers.values() if c == m) != k:
+            raise AssertionError("re-verification failed; oracle inconsistent")
+        found += 1
+        yield bm

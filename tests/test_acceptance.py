@@ -5,6 +5,7 @@ The differential items hold every closed-form criterion to zero mismatches
 against the brute-force classification over the stated sweeps.
 """
 
+import hashlib
 import math
 import time
 
@@ -38,6 +39,13 @@ from cyclomap.unitary import (
     family_ctab,
     family_ctkuv,
 )
+
+
+def _assert_pinned(reports, digest):
+    # sha256 of the sweep's reports, so that no change to the sweep code
+    # alters a report unnoticed
+    text = "".join(rep.to_json() for rep in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _report(number, label, elapsed, budget):
@@ -140,12 +148,14 @@ def test_acceptance_05_wrapped_q32_example():
 
 def test_acceptance_06_differential_two_branch():
     start = time.perf_counter()
+    reports = []
     for field_id in ("5", "3^2", "13"):
         rep = differential_verify(
             SweepSpec(criterion="l2", field_id=field_id, ell=2,
                       r_range=(1, int_q(field_id) - 1))
         )
         assert rep.mismatches == [], field_id
+        reports.append(rep)
     for field_id in ("17", "5^2", "29"):
         rep = differential_verify(
             SweepSpec(criterion="l2", field_id=field_id, ell=2,
@@ -153,6 +163,8 @@ def test_acceptance_06_differential_two_branch():
                       mode="random", samples=10_000, seed=42)
         )
         assert rep.mismatches == [], field_id
+        reports.append(rep)
+    _assert_pinned(reports, "e8d709b3e59cbd1515dbef681a3ca2d7d97c1595895e91fed56220f8b6b20431")
     elapsed = time.perf_counter() - start
     _report(6, "two-branch criterion vs oracle", elapsed, 300)
 
@@ -166,12 +178,14 @@ def int_q(field_id):
 
 def test_acceptance_07_differential_three_branch():
     start = time.perf_counter()
+    reports = []
     for field_id in ("13", "2^4"):
         rep = differential_verify(
             SweepSpec(criterion="l3", field_id=field_id, ell=3,
                       r_range=(1, 6), cap=50_000_000)
         )
         assert rep.mismatches == [], field_id
+        reports.append(rep)
     for field_id in ("19", "5^2"):
         rep = differential_verify(
             SweepSpec(criterion="l3", field_id=field_id, ell=3,
@@ -179,12 +193,15 @@ def test_acceptance_07_differential_three_branch():
                       mode="random", samples=10_000, seed=42)
         )
         assert rep.mismatches == [], field_id
+        reports.append(rep)
+    _assert_pinned(reports, "2f8da03996c96d1b90931a753de378f32b679520d29cadbfe90f8f5921c39333")
     elapsed = time.perf_counter() - start
     _report(7, "three-branch criterion vs oracle", elapsed, 300)
 
 
 def test_acceptance_08_differential_2to1_any_index():
     start = time.perf_counter()
+    reports = []
     # exhaustive for small indices (full constant range, exponent range
     # mirroring item 7's bound; [1,3] at index 4 keeps the product sane),
     # seeded samples beyond
@@ -203,12 +220,15 @@ def test_acceptance_08_differential_2to1_any_index():
                                  mode="random", samples=10_000, seed=42)
             rep = differential_verify(spec)
             assert rep.mismatches == [], (field_id, ell)
+            reports.append(rep)
+    _assert_pinned(reports, "566446129161e537a4e37e15bd138fe0002cc5f260a14025fcb61e059808ebbc")
     elapsed = time.perf_counter() - start
     _report(8, "2-to-1 criterion vs oracle (all indices)", elapsed, 300)
 
 
 def test_acceptance_09_differential_equal_multiplicity():
     start = time.perf_counter()
+    reports = []
     for field_id in ("13", "17", "5^2"):
         q = int_q(field_id)
         for ell in divisors(q - 1):
@@ -218,7 +238,9 @@ def test_acceptance_09_differential_equal_multiplicity():
                           samples=10_000, seed=42)
             )
             assert rep.mismatches == [], (field_id, ell)
+            reports.append(rep)
             assert rep.applicable_cases == rep.total_cases  # conditioned draws
+    _assert_pinned(reports, "7d3d8f850ee60429663bfb44f62badacc2f03991a31a5dd94a07f9bb81296504")
     elapsed = time.perf_counter() - start
     _report(9, "equal-multiplicity criterion vs oracle", elapsed, 300)
 

@@ -130,16 +130,25 @@ def test_exit_codes():
     ["classify", "--field", "5", "--poly", "(" * 3000 + "x" + ")" * 3000],
     ["field-info", "--field", "13", "--generator", "[2"],
     ["enumerate", "--field", "13", "--ell", "3", "--m", "13"],
+    ["verify", "--criterion", "l2", "--field", "13", "--ell", "3",
+     "--r-min", "5", "--r-max", "2"],
+    ["verify", "--criterion", "l2", "--field", "13", "--ell", "2",
+     "--a-min", "5", "--a-max", "2"],
+    ["verify", "--criterion", "l2", "--field", "13", "--ell", "2",
+     "--mode", "random", "--m-min", "5", "--m-max", "2"],
+    ["enumerate", "--field", "13", "--ell", "2", "--m", "2", "--r-min", "13"],
 ])
 def test_incomplete_or_out_of_range_input_is_a_usage_error(argv):
     # each of these once escaped as a traceback (or, for m=0, scanned the
-    # whole space for nothing; an unclosed generator list failed in int())
+    # whole space for nothing; an unclosed generator list failed in int();
+    # an empty window failed inside islice or silently swept nothing)
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _VERIFY_L2_F5 = ["verify", "--criterion", "l2", "--field", "5", "--ell", "2"]
+_VERIFY_2TO1_F7 = ["verify", "--criterion", "2to1", "--field", "7", "--ell", "2"]
 _ENUMERATE_F5 = ["enumerate", "--field", "5", "--ell", "2", "--m", "2"]
 
 
@@ -150,6 +159,12 @@ _ENUMERATE_F5 = ["enumerate", "--field", "5", "--ell", "2", "--m", "2"]
     (_ENUMERATE_F5, ["--a-max", "2"], ["--a-min", "0"]),
     (_ENUMERATE_F5, ["--r-max", "2"], ["--r-min", "1"]),
     (_ENUMERATE_F5, ["--r-min", "3"], ["--r-max", "4"]),
+    (_VERIFY_L2_F5, ["--a-min", "1"], ["--a-max", "3"]),
+    (_VERIFY_L2_F5, ["--r-max", "2"], ["--r-min", "1"]),
+    (_VERIFY_L2_F5, ["--r-min", "3"], ["--r-max", "4"]),
+    (_VERIFY_2TO1_F7, ["--m-max", "3"], ["--m-min", "1"]),
+    (_VERIFY_2TO1_F7, ["--m-min", "3"], ["--m-max", "6"]),
+    (_ENUMERATE_F5, ["--a-min", "1"], ["--a-max", "3"]),
 ])
 def test_a_window_with_one_end_takes_the_default_other_end(base, one_end, other_end):
     # with only --a-max, --m-max or --r-max these ended in a TypeError

@@ -13,7 +13,12 @@ from cyclomap import (
     multiplicative_group,
 )
 from cyclomap.errors import CapExceeded
-from cyclomap.mto1 import CriterionVerdict, branch_map_valid_ms, criterion_l2
+from cyclomap.mto1 import (
+    CriterionVerdict,
+    branch_map_valid_ms,
+    criterion_equal_d,
+    criterion_l2,
+)
 from cyclomap.search import SplitMix64, sample_rng
 
 
@@ -55,6 +60,80 @@ def test_random_sweep_deterministic_json():
     assert payload["mismatch_count"] == 0
     assert "elapsed_seconds" not in payload
     assert "elapsed_seconds" in json.loads(a.to_json(include_runtime=True))
+
+
+def _recorded_draws(spec, criterion):
+    draws = []
+
+    def record(bm, m):
+        draws.append((bm.log_scales, bm.exponents, m))
+        return criterion(bm, m)
+
+    differential_verify(spec, criterion_fn=record)
+    return draws
+
+
+@pytest.mark.parametrize("criterion, ell, fn", [
+    ("l2", 2, criterion_l2),
+    ("equal-d", 3, criterion_equal_d),
+])
+def test_random_sweeps_draw_inside_the_windows(criterion, ell, fn):
+    # the random mode once drew a and r over the whole group whatever the
+    # windows in its report said
+    spec = SweepSpec(
+        criterion=criterion, field_id="13", ell=ell, r_range=(3, 8),
+        a_exp_range=(4, 9), m_range=(2, 5), mode="random", samples=300, seed=7,
+    )
+    draws = _recorded_draws(spec, fn)
+    assert len(draws) == 300
+    assert {a for las, _, _ in draws for a in las} == set(range(4, 10))
+    assert {r for _, rs, _ in draws for r in rs} == set(range(3, 9))
+    assert {m for _, _, m in draws} == set(range(2, 6))
+    if criterion == "equal-d":
+        # r0's gcd bucket is taken over the r window, not over 1..q-1
+        assert all(len({math.gcd(r, 12 // ell) for r in rs}) == 1 for _, rs, _ in draws)
+
+
+def test_random_default_windows_keep_the_sample_stream():
+    # a_exps, r0, the other r, then m, each uniform over the full range
+    spec = SweepSpec(criterion="l2", field_id="13", ell=2, r_range=(1, 12),
+                     mode="random", samples=50, seed=3)
+    expected = []
+    for j in range(50):
+        rng = sample_rng(3, j)
+        las = tuple(rng.randrange(12) for _ in range(2))
+        rs = tuple(1 + rng.randrange(12) for _ in range(2))
+        expected.append((las, rs, 1 + rng.randrange(12)))
+    assert _recorded_draws(spec, criterion_l2) == expected
+
+
+@pytest.mark.parametrize("criterion, windows, expected", [
+    ("l2", {"r_range": (None, 3)}, {"r_range": (1, 3)}),
+    ("l2", {"r_range": (5, None)}, {"r_range": (5, 12)}),
+    ("l2", {"a_exp_range": (None, 3)}, {"a_exp_range": (0, 3)}),
+    ("l2", {"a_exp_range": (5, None)}, {"a_exp_range": (5, 11)}),
+    ("l2", {"m_range": (None, None)}, {"m_range": (1, 12)}),
+    ("2to1", {}, {"m_range": (2, 2)}),
+    ("2to1", {"m_range": (None, None)}, {"m_range": (2, 2)}),
+    ("2to1", {"m_range": (None, 5)}, {"m_range": (1, 5)}),
+    ("2to1", {"m_range": (3, None)}, {"m_range": (3, 12)}),
+])
+def test_sweep_spec_fills_missing_window_ends(f13, criterion, windows, expected):
+    spec = SweepSpec(criterion=criterion, field_id="13", ell=2,
+                     **{"r_range": (None, None), **windows})
+    filled = spec.normalized(f13)
+    full = {"r_range": (1, 12), "a_exp_range": (0, 11),
+            "m_range": (2, 2) if criterion == "2to1" else (1, 12)}
+    for name, window in {**full, **expected}.items():
+        assert getattr(filled, name) == window, name
+
+
+def test_empty_windows_are_rejected(f13):
+    spec = SweepSpec(criterion="l2", field_id="13", ell=2, r_range=(5, 2))
+    with pytest.raises(ValueError, match=r"^the r window 5\.\.2 is empty$"):
+        differential_verify(spec)
+    with pytest.raises(ValueError, match=r"^the a window 5\.\.2 is empty$"):
+        next(enumerate_mto1(f13, 2, 2, a_exp_range=(5, 2)))
 
 
 def test_parallel_equals_serial():
