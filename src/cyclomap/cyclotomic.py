@@ -332,42 +332,53 @@ class BranchRelation:
 class BranchMap:
     """One monomial a_i * x^(r_i) per coset of a decomposition.
 
-    Exponents are kept as given (criteria read them verbatim) and reduced
-    modulo the group order for evaluation; both give the same gcd with the
-    coset size, because the coset size divides the group order.
+    `BranchMap(decomp, [(a_0, r_0), ...])` takes the constants as group
+    elements; `BranchMap(decomp, log_scales=..., exponents=...)` takes
+    their logs to the group's generator and skips the log lookups.  Both
+    keep the logs (reduced modulo the group order) and the exponents as
+    given (criteria read them verbatim, and reduce them modulo the group
+    order for evaluation; both give the same gcd with the coset size,
+    because the coset size divides the group order).  `branches` and
+    `scales` are derived from them on first read.
     """
 
-    __slots__ = ("decomp", "branches", "log_scales", "multiplicities", "_offsets", "__dict__")
+    __slots__ = ("decomp", "exponents", "log_scales", "multiplicities", "_offsets", "__dict__")
 
-    def __init__(self, decomp: CosetDecomposition, branches):
-        bs = tuple(Branch(int(a), int(r)) for a, r in branches)
-        if len(bs) != decomp.index:
+    def __init__(self, decomp: CosetDecomposition, branches=None, *,
+                 log_scales=None, exponents=None):
+        ell = decomp.index
+        if branches is not None:
+            if log_scales is not None or exponents is not None:
+                raise TypeError("give branches, or log_scales and exponents, not both")
+            pairs = [(int(a), int(r)) for a, r in branches]
+            if len(pairs) != ell:
+                raise ValueError(f"expected {ell} branches, got {len(pairs)}")
+            exponents = [r for _, r in pairs]
+            log_scales = [_constant_log(decomp.ctx, a) for a, _ in pairs]
+        elif log_scales is None or exponents is None:
+            raise TypeError("BranchMap needs branches, or log_scales and exponents")
+        elif len(log_scales) != ell or len(exponents) != ell:
             raise ValueError(
-                f"expected {decomp.index} branches, got {len(bs)}"
+                f"expected {ell} branches, got {len(log_scales)} logs"
+                f" and {len(exponents)} exponents"
             )
-        ctx = decomp.ctx
+        N = decomp.ctx.order
         s = decomp.coset_size
-        log_scales = []
-        for a, _ in bs:
-            try:
-                log_scales.append(ctx.dlog(a))
-            except NotInGroup:
-                raise NotInGroup(f"branch constant {a} is not in the group") from None
         self.decomp = decomp
-        self.branches = bs
-        self.log_scales = tuple(log_scales)
-        self.multiplicities = tuple(math.gcd(r, s) for _, r in bs)
+        self.exponents = exponents = tuple(exponents)
+        self.log_scales = log_scales = tuple([la % N for la in log_scales])
+        self.multiplicities = tuple([math.gcd(r, s) for r in exponents])
         self._offsets = tuple(
-            i * r + la for i, ((_, r), la) in enumerate(zip(bs, log_scales))
+            [i * r + la for i, r, la in zip(range(ell), exponents, log_scales)]
         )
 
-    @property
+    @cached_property
     def scales(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.branches)
+        return tuple(map(self.decomp.ctx.element, self.log_scales))
 
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(r for _, r in self.branches)
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        return tuple(map(Branch, self.scales, self.exponents))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -378,7 +389,7 @@ class BranchMap:
     def eval_exp(self, k: int) -> int:
         """Exponent of f(generator**k)."""
         i = k % self.decomp.index
-        return (k * self.branches[i].exponent + self.log_scales[i]) % self.decomp.ctx.order
+        return (k * self.exponents[i] + self.log_scales[i]) % self.decomp.ctx.order
 
     def image_residue(self, i: int, n: int) -> int:
         """(i*r_i + log of the branch constant) mod n; drives every criterion."""
@@ -441,7 +452,7 @@ class BranchMap:
             raise UnsupportedContext(
                 "expansion to one polynomial is defined on the full group F_q*"
             )
-        if any(r < 1 for _, r in self.branches):
+        if any(r < 1 for r in self.exponents):
             raise ConstraintViolated("expansion needs positive branch exponents")
         F = ctx.field
         N = ctx.order
@@ -479,3 +490,9 @@ class BranchMap:
         bs = ",".join(f"({a},{r})" for a, r in self.branches)
         return f"BranchMap[{bs}]"
 
+
+def _constant_log(ctx: GroupContext, a: int) -> int:
+    try:
+        return ctx.dlog(a)
+    except NotInGroup:
+        raise NotInGroup(f"branch constant {a} is not in the group") from None

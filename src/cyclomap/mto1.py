@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .cyclotomic import BranchMap, CosetDecomposition, Polynomial, multiplicative_group
@@ -94,17 +95,22 @@ def classify_callable(fn: Callable[[int], int], domain, order_key=None) -> Mto1R
     return classify_pairs(((x, fn(x)) for x in domain), order_key)
 
 
-def branch_map_fibers(bm: BranchMap) -> dict[int, int]:
-    """Image-exponent -> preimage-count over the whole group (the oracle core)."""
+def branch_map_fibers(bm: BranchMap) -> Counter:
+    """Image-exponent -> preimage-count over the whole group (the oracle core).
+
+    Coset i holds the exponents k = i + t*ell, and branch i sends them to
+    i*r_i + log a_i + t*ell*r_i (mod N): one progression per coset, and
+    each of its s images is counted.
+    """
     N = bm.decomp.ctx.order
     ell = bm.decomp.index
-    rs = tuple(r % N for _, r in bm.branches)
-    las = bm.log_scales
-    fibers: dict[int, int] = {}
-    for k in range(N):
-        e = (k * rs[k % ell] + las[k % ell]) % N
-        fibers[e] = fibers.get(e, 0) + 1
-    return fibers
+    s = bm.decomp.coset_size
+    walks = []
+    for i, (r, la) in enumerate(zip(bm.exponents, bm.log_scales)):
+        start = i * r + la
+        step = ell * r % N or N  # r = 0 (mod N): all s points land on start
+        walks.append(range(start, start + s * step, step))
+    return Counter(map(N.__rmod__, chain.from_iterable(walks)))
 
 
 def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:
@@ -131,7 +137,7 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
         ks = []
         if odd:
             N, ell = ctx.order, bm.decomp.index
-            for i, ((_, r), la) in enumerate(zip(bm.branches, bm.log_scales)):
+            for i, (r, la) in enumerate(zip(bm.exponents, bm.log_scales)):
                 r %= N
                 start, step = (i * r + la) % N, ell * r
                 ks.extend(i + t * ell for t in range(bm.decomp.coset_size)
@@ -255,6 +261,10 @@ def criterion_l2(bm: BranchMap, m: int) -> CriterionVerdict:
 
 # The labelings (i, j, k) of three branches, in itertools.permutations order.
 _ORDERINGS_3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+# criterion_l3's two common answers: a sweep asks it for every m of a map,
+# and most m end at one of these.
+_NOT_A_SUM = _no("m is not a sum of branch multiplicities (nor 2s)")
+_NO_CLAUSE = _no("no clause satisfied")
 
 
 def criterion_l3(bm: BranchMap, m: int) -> CriterionVerdict:
@@ -265,7 +275,7 @@ def criterion_l3(bm: BranchMap, m: int) -> CriterionVerdict:
     if not 1 <= m <= N:
         return _na("m-out-of-range")
     if m not in bm.m_candidates:
-        return _no("m is not a sum of branch multiplicities (nor 2s)")
+        return _NOT_A_SUM
     d = bm.multiplicities
     off = bm._offsets
     s = bm.decomp.coset_size
@@ -308,7 +318,7 @@ def criterion_l3(bm: BranchMap, m: int) -> CriterionVerdict:
                 and (s // dk) * (2 * dk - di - dj) < m
             ):
                 return _yes("clause 6: all three images nested")
-    return _no("no clause satisfied")
+    return _NO_CLAUSE
 
 
 def _def_mto1_on_values(values, m: int) -> bool:
@@ -316,8 +326,7 @@ def _def_mto1_on_values(values, m: int) -> bool:
     n = len(values)
     if not 1 <= m <= n:
         return False
-    hist = Counter(Counter(values).values())
-    return hist.get(m, 0) == n // m
+    return list(Counter(values).values()).count(m) == n // m
 
 
 def criterion_2to1_any_l(bm: BranchMap) -> CriterionVerdict:

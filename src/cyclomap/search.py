@@ -33,6 +33,9 @@ from .mto1 import (
 from .notation import field_from_id
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -44,10 +47,10 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
@@ -84,13 +87,16 @@ class SweepSpec:
 
         A criterion that decides one fixed m sweeps (fixed_m, fixed_m) when
         no m end is given.  Raises ValueError on an unknown criterion or
-        mode and on an empty window.
+        mode, on an empty window and on a random sweep of fewer than one
+        sample.
         """
         entry = CRITERIA.get(self.criterion)
         if entry is None or not entry.sweep:
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
+        if self.mode == "random" and self.samples < 1:
+            raise ValueError(f"samples={self.samples} must be at least 1")
         q = field.q
         m_default = (1, q - 1)
         if entry.fixed_m is not None and self.m_range in (None, (None, None)):
@@ -198,23 +204,31 @@ def _cases(spec: SweepSpec, field: Field, lo: int, hi: int):
         for index, (a_exps, rs) in enumerate(maps, start=lo):
             yield index, a_exps, rs, m_window
         return
-    s = (field.q - 1) // spec.ell
+    ell = spec.ell
+    s = (field.q - 1) // ell
     buckets = None
     if CRITERIA[spec.criterion].equal_gcds:
         buckets = {}
         for r in r_window:
             buckets.setdefault(math.gcd(r, s), []).append(r)
+    # Word t of sample_rng(seed, j) is the SplitMix mix of seed + j +
+    # t*gamma; a sample takes ell words for a_exps, ell for rs and 1 for m.
+    gammas = [t * _GAMMA for t in range(1, 2 * ell + 2)]
+    n_a, n_r, n_m = len(a_window), len(r_window), len(m_window)
     for index in range(lo, hi):
-        rng = sample_rng(spec.seed, index)
-
-        def pick(seq):
-            return seq[rng.randrange(len(seq))]
-
-        a_exps = tuple(pick(a_window) for _ in range(spec.ell))
-        r0 = pick(r_window)
+        base = spec.seed + index
+        words = []
+        for gamma in gammas:
+            z = (base + gamma) & _MASK64
+            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            words.append(z ^ (z >> 31))
+        a_exps = tuple([a_window[w % n_a] for w in words[:ell]])
+        r0 = r_window[words[ell] % n_r]
         others = r_window if buckets is None else buckets[math.gcd(r0, s)]
-        rs = (r0,) + tuple(pick(others) for _ in range(spec.ell - 1))
-        yield index, a_exps, rs, (pick(m_window),)
+        n_o = len(others)
+        rs = (r0, *[others[w % n_o] for w in words[ell + 1:-1]])
+        yield index, a_exps, rs, (m_window[words[-1] % n_m],)
 
 
 def differential_verify(spec: SweepSpec, *, criterion_fn=None, jobs: int = 1,
@@ -276,20 +290,19 @@ def _run_chunk(args, criterion_fn=None) -> MismatchReport:
             "samples": spec.samples if spec.mode == "random" else None,
         },
     )
+    cases = applicable = 0
     for index, a_exps, rs, ms in _cases(spec, field, lo, hi):
-        bm = BranchMap(
-            decomp, [(field.exp_at(e), r) for e, r in zip(a_exps, rs)]
-        )
+        bm = BranchMap(decomp, log_scales=a_exps, exponents=rs)
         oracle = branch_map_valid_ms(bm)
         for m in ms:
-            report.total_cases += 1
+            cases += 1
             try:
                 verdict = fn(bm, m)
             except HypothesisError:
                 continue
             if not verdict.applicable:
                 continue
-            report.applicable_cases += 1
+            applicable += 1
             if verdict.holds != (m in oracle):
                 report.mismatches.append(
                     {
@@ -301,6 +314,7 @@ def _run_chunk(args, criterion_fn=None) -> MismatchReport:
                         "oracle": m in oracle,
                     }
                 )
+    report.total_cases, report.applicable_cases = cases, applicable
     return report
 
 
@@ -323,9 +337,7 @@ def enumerate_mto1(field: Field, ell: int, m: int, a_exp_range=None,
     for a_exps, rs in _lattice(ell, a_window, r_window):
         if limit is not None and found >= limit:
             return
-        bm = BranchMap(
-            decomp, [(field.exp_at(e), r) for e, r in zip(a_exps, rs)]
-        )
+        bm = BranchMap(decomp, log_scales=a_exps, exponents=rs)
         if m not in branch_map_valid_ms(bm):
             continue
         fibers = {}

@@ -67,3 +67,25 @@ def test_traced_family_construct_counts_one_family_call(tracer_module):
         tracer.uninstall()
     assert result.family_id == "T4"
     assert tracer.aggregate()["calls"]["unitary.family"] == 1
+
+
+def test_traced_sweep_builds_and_classifies_each_map_once(tracer_module):
+    # several m per map: the map and its oracle are shared by the m values
+    specs = (
+        SweepSpec(criterion="l2", field_id="13", ell=2, r_range=(2, 4),
+                  a_exp_range=(0, 2)),
+        SweepSpec(criterion="l3", field_id="19", ell=3, r_range=(1, 18),
+                  m_range=(2, 4), mode="random", samples=200, seed=9),
+    )
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        reports = [search.differential_verify(spec) for spec in specs]
+    finally:
+        tracer.uninstall()
+    agg = tracer.aggregate()
+    maps = (3 * 3) ** 2 + 200
+    assert [r.total_cases for r in reports] == [81 * 12, 200]
+    assert agg["calls"]["cyclotomic.branchmap"] == maps
+    assert agg["calls"]["mto1.oracle"] == maps
+    assert agg["counters"]["mto1.oracle.points"] == 81 * 12 + 200 * 18

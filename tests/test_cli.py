@@ -137,11 +137,16 @@ def test_exit_codes():
     ["verify", "--criterion", "l2", "--field", "13", "--ell", "2",
      "--mode", "random", "--m-min", "5", "--m-max", "2"],
     ["enumerate", "--field", "13", "--ell", "2", "--m", "2", "--r-min", "13"],
+    ["verify", "--criterion", "l2", "--field", "13", "--ell", "2",
+     "--mode", "random", "--samples", "0"],
+    ["verify", "--criterion", "l2", "--field", "13", "--ell", "2",
+     "--mode", "random", "--samples", "-3"],
 ])
 def test_incomplete_or_out_of_range_input_is_a_usage_error(argv):
     # each of these once escaped as a traceback (or, for m=0, scanned the
     # whole space for nothing; an unclosed generator list failed in int();
-    # an empty window failed inside islice or silently swept nothing)
+    # an empty window failed inside islice or silently swept nothing; a
+    # random sweep of no samples reported "cases: 0")
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -156,6 +156,34 @@ def test_branch_constants_validated(f13):
         BranchMap(dec, [(0, 1), (1, 1)])
 
 
+def test_log_form_matches_element_form(small_branch_maps):
+    for dec, las, rs in small_branch_maps:
+        ctx = dec.ctx
+        by_log = BranchMap(dec, log_scales=las, exponents=rs)
+        by_element = BranchMap(dec, [(ctx.element(la), r) for la, r in zip(las, rs)])
+        assert by_log.log_scales == by_element.log_scales == tuple(
+            la % ctx.order for la in las
+        )
+        assert by_log.exponents == by_element.exponents == rs
+        assert by_log.multiplicities == by_element.multiplicities
+        assert by_log._offsets == by_element._offsets
+        assert by_log.branches == by_element.branches
+        assert by_log.scales == by_element.scales
+        assert all(by_log.eval(x) == by_element.eval(x) for x in ctx)
+
+
+def test_log_form_is_checked(f13):
+    dec = decompose(multiplicative_group(f13), 2)
+    with pytest.raises(ValueError, match="expected 2 branches, got 1 logs and 2 exponents"):
+        BranchMap(dec, log_scales=(0,), exponents=(1, 2))
+    with pytest.raises(ValueError, match="expected 2 branches, got 3"):
+        BranchMap(dec, [(1, 1)] * 3)
+    with pytest.raises(TypeError):
+        BranchMap(dec, log_scales=(0, 1))
+    with pytest.raises(TypeError):
+        BranchMap(dec, [(1, 1), (1, 1)], exponents=(1, 1))
+
+
 def test_image_residue_known_values(f13):
     dec = decompose(multiplicative_group(f13), 2)
     bm = BranchMap(dec, [(1, 2), (12, 4)])

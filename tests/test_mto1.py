@@ -35,6 +35,7 @@ from cyclomap.errors import (
 from cyclomap.gf import divisors
 from cyclomap.mto1 import (
     CRITERIA,
+    branch_map_fibers,
     branch_map_valid_ms,
     cor32,
     cor33,
@@ -137,6 +138,23 @@ def test_exceptional_sets_match_element_recount(f13, f17, f25, f64):
                         assert rep.exceptional_of(m) == tuple(want), (bm, domain, m)
                         uneven += rep.domain_size % m != 0
     assert uneven >= 20  # valid m with a nonempty exceptional set
+
+
+def test_oracle_matches_an_eval_recount(small_branch_maps):
+    # the coset-progression count against one bm.eval per point, exceptional
+    # sets included, on log-form maps over F_q* and the unit circle
+    for dec, las, rs in small_branch_maps:
+        ctx = dec.ctx
+        bm = BranchMap(dec, log_scales=las, exponents=rs)
+        image = {x: bm.eval(x) for x in ctx}
+        recount = Counter(image.values())
+        fibers = branch_map_fibers(bm)
+        assert {ctx.element(e): c for e, c in fibers.items()} == recount
+        assert sum(fibers.values()) == ctx.order
+        rep = classify_branch_map(bm)
+        for m in rep.valid_ms:
+            want = sorted((x for x in image if recount[image[x]] != m), key=ctx.dlog)
+            assert rep.exceptional_of(m) == tuple(want), (bm, m)
 
 
 def test_branch_map_fast_path_matches_generic(f13):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -107,6 +108,35 @@ def test_random_default_windows_keep_the_sample_stream():
     assert _recorded_draws(spec, criterion_l2) == expected
 
 
+def test_random_windows_keep_the_sample_stream():
+    # as above, but each draw is an offset into its non-default window
+    spec = SweepSpec(criterion="l2", field_id="13", ell=2, r_range=(3, 8),
+                     a_exp_range=(4, 9), m_range=(2, 5), mode="random",
+                     samples=50, seed=7)
+    expected = []
+    for j in range(50):
+        rng = sample_rng(7, j)
+        las = tuple(4 + rng.randrange(6) for _ in range(2))
+        rs = tuple(3 + rng.randrange(6) for _ in range(2))
+        expected.append((las, rs, 2 + rng.randrange(4)))
+    assert _recorded_draws(spec, criterion_l2) == expected
+
+
+def test_random_equal_d_keeps_the_bucket_stream():
+    # the r after r0 index r0's gcd bucket, listed in ascending order
+    spec = SweepSpec(criterion="equal-d", field_id="13", ell=3, r_range=(1, 12),
+                     mode="random", samples=50, seed=3)
+    expected = []
+    for j in range(50):
+        rng = sample_rng(3, j)
+        las = tuple(rng.randrange(12) for _ in range(3))
+        r0 = 1 + rng.randrange(12)
+        bucket = [r for r in range(1, 13) if math.gcd(r, 4) == math.gcd(r0, 4)]
+        rs = (r0,) + tuple(bucket[rng.randrange(len(bucket))] for _ in range(2))
+        expected.append((las, rs, 1 + rng.randrange(12)))
+    assert _recorded_draws(spec, criterion_equal_d) == expected
+
+
 @pytest.mark.parametrize("criterion, windows, expected", [
     ("l2", {"r_range": (None, 3)}, {"r_range": (1, 3)}),
     ("l2", {"r_range": (5, None)}, {"r_range": (5, 12)}),
@@ -134,6 +164,16 @@ def test_empty_windows_are_rejected(f13):
         differential_verify(spec)
     with pytest.raises(ValueError, match=r"^the a window 5\.\.2 is empty$"):
         next(enumerate_mto1(f13, 2, 2, a_exp_range=(5, 2)))
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_random_sweeps_need_a_sample(f13, samples):
+    spec = SweepSpec(criterion="l2", field_id="13", ell=2, r_range=(1, 12),
+                     mode="random", samples=samples)
+    with pytest.raises(ValueError, match=f"^samples={samples} must be at least 1$"):
+        differential_verify(spec)
+    # an exhaustive sweep does not read samples
+    assert replace(spec, mode="exhaustive").normalized(f13).samples == samples
 
 
 def test_parallel_equals_serial():
