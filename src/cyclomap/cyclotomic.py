@@ -80,6 +80,7 @@ class GroupContext:
         return 0 < x < self.field.q and self.field.dlog(x) % self.index == 0
 
     def __iter__(self):
+        self.field._load_tables()  # walks the group
         return (self.element(k) for k in range(self.order))
 
     def __repr__(self):
@@ -266,6 +267,7 @@ class CosetDecomposition:
 
     def coset(self, i: int):
         """Lazy iterator over the i-th coset."""
+        self.ctx.field._load_tables()
         ell = self.index
         return (self.ctx.element(k * ell + i) for k in range(self.coset_size))
 
@@ -302,6 +304,7 @@ class BranchImage:
 
     @property
     def elements(self) -> frozenset[int]:
+        self.ctx.field._load_tables()
         N = self.ctx.order
         return frozenset(
             self.ctx.element((self.base_exp + j * self.step) % N)
@@ -417,7 +420,9 @@ class BranchMap:
         if not (0 <= i < ell and 0 <= j < ell):
             raise ValueError(f"branch indices {i}, {j} must lie in 0..{ell - 1}")
         # Shifted by off_j, image(j) is {ell*dj*x} and image(i) is
-        # {ell*di*y + off_i - off_j}, modulo the group order.
+        # {ell*di*y + off_i - off_j}, modulo the group order.  The
+        # intersection is listed and then sorted by log, so build the tables.
+        self.decomp.ctx.field._load_tables()
         N = self.decomp.ctx.order
         di, dj = self.multiplicities[i], self.multiplicities[j]
         c = self._offsets[i] - self._offsets[j]
@@ -455,6 +460,7 @@ class BranchMap:
         if any(r < 1 for r in self.exponents):
             raise ConstraintViolated("expansion needs positive branch exponents")
         F = ctx.field
+        F._load_tables()  # ell^2 terms, each a scalar product
         N = ctx.order
         ell = self.decomp.index
         s = self.decomp.coset_size

@@ -3,10 +3,9 @@
 Field elements are plain ints: the base-p encoding of the coefficient
 vector, c0 + c1*p + ... + c_{n-1}*p^(n-1); prime fields store the residue
 itself.  A Field owns its modulus, a primitive generator and, at desk
-scale, full exp/log tables, built on first use, so multiplicative
-arithmetic reduces to table lookups.  Above the table threshold
-multiplication falls back to polynomial arithmetic and discrete logs to
-baby-step giant-step.
+scale, full exp/log tables, so multiplicative arithmetic reduces to table
+lookups.  Without tables, multiplication is polynomial arithmetic and
+discrete logs are Pohlig-Hellman over the prime factors of q - 1.
 """
 
 from __future__ import annotations
@@ -27,6 +26,10 @@ from .errors import (
 
 #: Largest field order for which a field uses exp/log tables.
 LOG_TABLE_LIMIT = 1 << 22
+#: Largest field order whose tables a scalar operation (mul, pow, exp_at,
+#: dlog, ...) builds on first use; larger fields build them only for a
+#: function that walks the field.
+_SCALAR_TABLE_LIMIT = 1 << 12
 
 
 def is_prime(m: int) -> bool:
@@ -273,9 +276,12 @@ class Field:
 
     Its modulus, generator and arithmetic never change after construction.
     Fields of order at most ``log_threshold`` use exp/log tables, built
-    once, on the first call that needs them; larger fields use polynomial
-    arithmetic and baby-step giant-step logs, whose baby table is also
-    built on first use.  ``has_log_table`` reports whether the field uses
+    once and only when needed: by the first scalar operation on fields of
+    order at most 4096, and otherwise by the first function that walks the
+    field (``_load_tables``).  Until then, and always on larger fields,
+    arithmetic is polynomial and logs are Pohlig-Hellman, with baby-step
+    giant-step in each prime-order subgroup; those baby tables are built
+    on first use too.  ``has_log_table`` reports whether the field uses
     tables, not whether they exist yet.  Safe to share between threads: two
     threads that race on a first use both build the same tables and one
     copy is kept.
@@ -341,12 +347,18 @@ class Field:
 
     def _load_tables(self) -> bool:
         """Build the exp/log tables if this field uses them and they do not
-        exist yet; False when the field uses no tables."""
+        exist yet; False when the field uses no tables.  A function that
+        walks the field calls this first."""
         if not self._use_tables:
             return False
         if self._log is None:
             self._build_tables()
         return True
+
+    def _scalar_tables(self) -> bool:
+        """Build the tables for a scalar operation on a field small enough
+        that they pay at once; whether they exist now."""
+        return self.q <= _SCALAR_TABLE_LIMIT and self._load_tables()
 
     def _build_tables(self):
         q, g = self.q, self.generator
@@ -456,14 +468,14 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None or self._load_tables():
+        if self._log is not None or self._scalar_tables():
             return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._log is not None or self._load_tables():
+        if self._log is not None or self._scalar_tables():
             return self._exp[(-self._log[a]) % (self.q - 1)]
         return self._pow_raw(a, self.q - 2)
 
@@ -478,7 +490,7 @@ class Field:
             if e == 0:
                 return 1
             raise DivisionByZero("negative power of zero")
-        if self._log is not None or self._load_tables():
+        if self._log is not None or self._scalar_tables():
             return self._exp[(self._log[a] * e) % (self.q - 1)]
         if e < 0:
             return self._pow_raw(self.inv(a), -e)
@@ -486,7 +498,7 @@ class Field:
 
     def exp_at(self, k: int) -> int:
         """generator ** k."""
-        if self._exp is not None or self._load_tables():
+        if self._log is not None or self._scalar_tables():
             return self._exp[k % (self.q - 1)]
         return self.pow(self.generator, k)
 
@@ -494,26 +506,57 @@ class Field:
         """Exponent k in [0, q-2] with generator**k == a; a must be nonzero."""
         if a == 0:
             raise ZeroArgument("discrete log of zero")
-        if self._log is not None or self._load_tables():
+        if self._log is not None or self._scalar_tables():
             return self._log[a]
-        return self._dlog_bsgs(a)
+        return self._dlog_pohlig_hellman(a)
 
-    def _dlog_bsgs(self, a: int) -> int:
+    def _dlog_pohlig_hellman(self, a: int) -> int:
+        """log a from its residues modulo the prime powers p^e || q-1
+        (Pohlig & Hellman, IEEE Trans. IT 24, 1978).
+
+        With G = g^((q-1)/p^e), a^((q-1)/p^e) = G^x for x = log a mod p^e.
+        Digit j of x, once digits below j are divided out, is a log in the
+        order-p subgroup; the residues are joined by the CRT.
+        """
         order = self.q - 1
-        m = math.isqrt(order - 1) + 1
+        log, modulus = 0, 1
+        for p in self._order_factors:
+            pe, e = p, 1
+            while order % (pe * p) == 0:
+                pe, e = pe * p, e + 1
+            cofactor = order // pe
+            h = self._pow_raw(a, cofactor)
+            g_inv = self._pow_raw(self.generator, order - cofactor)  # G^-1
+            x, weight = 0, 1
+            for _ in range(e):
+                y = self._mul_raw(h, self._pow_raw(g_inv, x))
+                x += self._dlog_prime(p, self._pow_raw(y, pe // (weight * p))) * weight
+                weight *= p
+            log += modulus * ((x - log) * pow(modulus, -1, pe) % pe)
+            modulus *= pe
+        return log
+
+    def _dlog_prime(self, p: int, y: int) -> int:
+        """k in [0, p) with gamma^k == y for gamma = g^((q-1)/p), by
+        baby-step giant-step; the baby table of each p is kept."""
         if self._bsgs_baby is None:
+            self._bsgs_baby = {}
+        steps = self._bsgs_baby.get(p)
+        if steps is None:
+            gamma = self._pow_raw(self.generator, (self.q - 1) // p)
+            m = math.isqrt(p - 1) + 1
             baby = {}
             cur = 1
             for j in range(m):
-                baby.setdefault(cur, j)
-                cur = self._mul_raw(cur, self.generator)
-            self._bsgs_baby = (m, baby)
-        m, baby = self._bsgs_baby
-        giant = self._pow_raw(self.inv(self.generator), m)
-        cur = a
+                baby[cur] = j
+                cur = self._mul_raw(cur, gamma)
+            steps = self._bsgs_baby.setdefault(p, (m, baby, self._pow_raw(gamma, -m % p)))
+        m, baby, giant = steps
+        cur = y
         for i in range(m + 1):
-            if cur in baby:
-                return (i * m + baby[cur]) % order
+            j = baby.get(cur)
+            if j is not None:
+                return (i * m + j) % p
             cur = self._mul_raw(cur, giant)
         raise ZeroArgument("element not generated; inconsistent field state")
 

@@ -2,9 +2,14 @@
 
 A mapping f on a finite set A of size k*m + r (0 <= r < m) is m-to-1 when
 exactly k image points have exactly m preimages; the r leftover domain
-points form the exceptional set.  `classify_*` functions count preimages
-directly (the oracle); the `criterion_*` functions decide the same question
-from branch data alone and are differentially verified against the oracle.
+points form the exceptional set.  `classify_pairs`, `classify_callable`,
+`classify_polynomial` and `branch_map_valid_ms` count preimages directly
+(the oracle).  `classify_branch_map` is exact from residue classes in
+O(L), L = index * lcm of the branch multiplicities, and counts no point;
+it is differentially tested against the counting report, which
+`classify_wrapped` keeps using.  The `criterion_*` functions decide the
+same question from branch data alone and are differentially verified
+against the oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .gf import make_field, split_prime_power
 class Mto1Report:
     """Multiplicity histogram, admissible m values, and exceptional sets.
 
-    Built from the sizes of a fiber table (image -> number of preimages).
+    Built from the sizes of a fiber table (image -> number of preimages),
+    or with `from_histogram` from fiber size -> number of images.
     exceptional_fn(m) lists the domain elements whose fiber size differs
     from m, 0 first and then by ascending log; it is called only for a
     valid m whose exceptional set can be nonempty.
@@ -38,6 +44,16 @@ class Mto1Report:
         self.domain_size, histogram, self.valid_ms = _multiplicities(fiber_sizes)
         self.histogram = dict(histogram)
         self._exceptional_fn = exceptional_fn
+
+    @classmethod
+    def from_histogram(cls, histogram: dict, exceptional_fn) -> "Mto1Report":
+        """A report from fiber size -> number of images with that size."""
+        report = cls.__new__(cls)
+        report.histogram = histogram
+        report.domain_size = size = sum(m * c for m, c in histogram.items())
+        report.valid_ms = _valid_ms(size, histogram)
+        report._exceptional_fn = exceptional_fn
+        return report
 
     def exceptional_of(self, m: int) -> tuple[int, ...]:
         """Domain elements whose fiber size differs from m, by ascending log."""
@@ -74,9 +90,11 @@ def _multiplicities(fiber_sizes) -> tuple[int, Counter, frozenset[int]]:
     """
     size = sum(fiber_sizes)
     histogram = Counter(fiber_sizes)
-    return size, histogram, frozenset(
-        m for m, c in histogram.items() if c == size // m
-    )
+    return size, histogram, _valid_ms(size, histogram)
+
+
+def _valid_ms(size: int, histogram) -> frozenset[int]:
+    return frozenset(m for m, c in histogram.items() if c == size // m)
 
 
 def classify_pairs(pairs, order_key=None) -> Mto1Report:
@@ -119,12 +137,54 @@ def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:
 
 
 def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
-    """Oracle classification of a branch map over its group (or group + 0).
+    """Exact classification of a branch map over its group (or group + 0).
+
+    Branch i sends its coset onto the exponents e = off_i (mod ell*d_i),
+    off_i = i*r_i + log a_i, and hits each of them d_i times.  So the fiber
+    size at e depends only on e mod L, L = ell*lcm(d_i), which divides the
+    group order N, and each residue mod L stands for N/L exponents: the
+    report takes O(L) steps and counts no point.
 
     include_zero only makes sense on a full multiplicative group, where the
     map extends by 0 -> 0; branch constants are nonzero so nothing else
     maps to 0.
     """
+    ctx = bm.decomp.ctx
+    N, ell = ctx.order, bm.decomp.index
+    ds, offsets = bm.multiplicities, bm._offsets
+    L = ell * math.lcm(*ds)
+    sizes = [0] * L  # fiber size at the exponents of each residue mod L
+    for d, off in zip(ds, offsets):
+        step = ell * d
+        for e in range(off % step, L, step):
+            sizes[e] += d
+    weight = N // L
+    histogram = {c: n * weight for c, n in Counter(sizes).items() if c}
+    if include_zero:  # 0 -> 0 adds the fiber {0}
+        histogram[1] = histogram.get(1, 0) + 1
+
+    def exceptional(m: int) -> tuple[int, ...]:
+        # k = i + t*ell has the image residue off_i + t*ell*r_i mod L, of
+        # period L/gcd(ell*r_i, L) = L/(ell*d_i) in t, since lcm(d) divides
+        # the coset size.  One period is walked, and each t whose residue
+        # has a fiber size other than m stands for every t' = t mod period.
+        ks = []
+        for i, (r, d, off) in enumerate(zip(bm.exponents, ds, offsets)):
+            period = L // (ell * d)
+            step = ell * r
+            for t in range(period):
+                if sizes[(off + t * step) % L] != m:
+                    ks.extend(range(i + t * ell, N, period * ell))
+        ks.sort()
+        zero = (0,) if include_zero and m != 1 else ()
+        return zero + tuple(map(ctx.element, ks))
+
+    return Mto1Report.from_histogram(histogram, exceptional)
+
+
+def _counted_report(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
+    """`classify_branch_map` by counting every point: the oracle's report,
+    for the paths that compare against brute force."""
     fibers = branch_map_fibers(bm)
     ctx = bm.decomp.ctx
 
@@ -154,6 +214,7 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
 def classify_polynomial(poly: Polynomial, domain: str | tuple = "fqstar") -> Mto1Report:
     """Oracle classification of a polynomial over F_q, F_q*, or an explicit set."""
     F = poly.field
+    F._load_tables()  # evaluates at every domain point
     if domain == "fq":
         dom = range(F.q)
     elif domain == "fqstar":
@@ -208,6 +269,7 @@ def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
         star_valid = branch_map_valid_ms(fn)
     else:
         evaluate = fn.eval if isinstance(fn, Polynomial) else fn
+        field._load_tables()  # evaluates at every point
         zero_image = evaluate(0)
         fibers = Counter()
         for x in range(1, field.q):

@@ -124,8 +124,13 @@ def _span(window: tuple[int, int]) -> range:
 
 
 def _lattice(ell: int, a_window: range, r_window: range):
-    """Every (a_exps, rs) over two windows, in lexicographic order."""
-    return product(product(a_window, repeat=ell), product(r_window, repeat=ell))
+    """Every (a_exps, rs) over two windows, in lexicographic order.
+
+    Lazy in the a tuples: `product` of the two tuple streams would first
+    store all len(window)**ell tuples of each.
+    """
+    return ((a_exps, rs) for a_exps in product(a_window, repeat=ell)
+            for rs in product(r_window, repeat=ell))
 
 
 @dataclass

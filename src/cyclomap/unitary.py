@@ -33,7 +33,7 @@ from .errors import (
 from .gf import Field, make_field, split_prime_power
 from .mto1 import (
     CriterionVerdict,
-    classify_branch_map,
+    _counted_report,
     classify_pairs,
     criterion_equal_d,
     criterion_l2,
@@ -150,7 +150,7 @@ def classify_wrapped(wm: WrappedMap):
 
     x = g^k has x^(q-1) = zeta0^(k mod q+1) with zeta0 = g^(q-1), so f is
     the index-(q+1) branch map of GF(q^2)* with branches (h(zeta0^i), r)
-    and is classified as one.
+    and is classified as one, by counting its points.
     """
     F = wm.field
     q = wm.base_q
@@ -161,11 +161,12 @@ def classify_wrapped(wm: WrappedMap):
             raise RootOnUnitCircle("h vanishes on the unit circle", point=j)
         branches.append((val, wm.r))
     decomp = CosetDecomposition(multiplicative_group(F), q + 1)
-    return classify_branch_map(BranchMap(decomp, branches))
+    return _counted_report(BranchMap(decomp, branches))
 
 
 def classify_unit_mapping(g: UnitMapping):
     unit = g.unit
+    unit.field._load_tables()
     return classify_pairs(
         tuple((unit.element(k), g.table[k]) for k in range(unit.order)),
         order_key=unit.dlog,

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from cyclomap import (
     BranchMap,
     cli,
+    gf,
+    mto1,
     criterion_2to1_any_l,
     criterion_equal_d,
     criterion_l2,
@@ -194,6 +197,76 @@ def test_field_info_degree_40_in_a_fresh_process():
     payload = json.loads(proc.stdout)
     assert len(payload["modulus"]) == 41 and payload["modulus"][-1] == 1
     assert payload["log_table"] is False
+
+
+def test_cyc_classify_degree_40_in_a_fresh_process():
+    # residue classes and Pohlig-Hellman logs: nothing walks 2^40 points
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclomap.cli", "--json", "cyc-classify",
+         "--field", "2^40", "--ell", "3", "--branches", "g^5:7,g^11:7,g^2:7"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["histogram"] == {"1": 2 ** 40 - 1} and payload["valid_m"] == [1]
+    assert payload["branches"] == [["g^5", 7], ["g^11", 7], ["g^2", 7]]
+
+
+LARGE_Q_REFERENCE = (pathlib.Path(__file__).resolve().parents[1]
+                     / "bench" / "reference" / "large-q.json")
+
+
+@pytest.mark.parametrize("field_id", ["2^20", "1048573"])
+def test_cyc_classify_on_large_fields_counts_no_point_and_builds_no_table(
+        field_id, monkeypatch):
+    # stdout digests recorded by brute force, now met with neither the
+    # counting oracle nor exp/log tables
+    def refuse(*args, **kwargs):
+        raise AssertionError("cyc-classify counted points or built tables")
+
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    monkeypatch.setattr(mto1, "branch_map_fibers", refuse)
+    monkeypatch.setattr(gf.Field, "_build_tables", refuse)
+    digests = json.loads(LARGE_Q_REFERENCE.read_text())["stdout_sha256"]
+    commands = [key.split() for key in digests
+                if key.split()[1:4] == ["cyc-classify", "--field", field_id]]
+    assert len(commands) == 2
+    for argv in commands:
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[" ".join(argv)]
+
+
+WALKING_COMMANDS = {
+    "classify": ["classify", "--field", "2^14", "--poly", "g^11*x^31+g^2*x^20+x^3"],
+    "relation": ["--json", "relation", "--field", "2^14", "--ell", "3",
+                 "--branches", "g^5:3,g^5:6,g:9", "--i", "0", "--j", "1"],
+    "expand": ["--json", "expand", "--field", "2^14", "--ell", "3",
+               "--branches", "g^5:3,g^7:6,g:9"],
+    "enumerate": ["--json", "enumerate", "--field", "2^14", "--ell", "3", "--m", "1",
+                  "--limit", "3", "--a-max", "40", "--r-max", "40"],
+    "lift": ["--json", "crit", "--theorem", "lift", "--field", "2^14",
+             "--poly", "g^7*x^5", "--m", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKING_COMMANDS))
+def test_field_walks_print_the_same_with_tables_built_beforehand(name, monkeypatch):
+    outputs = []
+    for prebuilt in (False, True):
+        monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+        F = field_from_id("2^14")  # the field the command will look up
+        assert F._log is None
+        if prebuilt:
+            F._load_tables()
+        code, out, err = run_cli(WALKING_COMMANDS[name])
+        assert code == 0, err
+        assert F._log is not None  # the walk built them when nothing had
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_worked_examples_single_invocations():

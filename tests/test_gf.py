@@ -170,6 +170,38 @@ def test_field_above_threshold_never_builds_tables():
     assert F._log is None and F._exp is None
 
 
+def test_scalar_operations_build_tables_only_on_small_fields():
+    # GF(2^13) uses tables, but only a walk over the field builds them
+    base = make_field(2, 13)
+    F = Field(2, 13, base.modulus)  # uncached, so no tables yet
+    x = F.exp_at(1000)
+    assert F.dlog(x) == 1000 and F.dlog(F.inv(x)) == F.q - 1 - 1000
+    assert F.mul(x, F.generator) == F.exp_at(1001) and F.pow(x, 3) == F.exp_at(3000)
+    assert F.has_log_table and F._log is None
+    F._load_tables()
+    assert F._log is not None and F.exp_at(1000) == x and F.dlog(x) == 1000
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (13, 1), (3, 4), (2, 6), (5, 3), (7, 2), (2, 10)])
+def test_pohlig_hellman_matches_tables_on_every_element(p, n):
+    tabled = make_field(p, n)
+    raw = make_field(p, n, log_threshold=0)
+    for x in range(1, tabled.q):
+        assert raw.dlog(x) == tabled.dlog(x), x
+
+
+def test_pohlig_hellman_at_degree_40_keeps_small_baby_tables():
+    F = make_field(2, 40)
+    order = F.q - 1
+    rng = SplitMix64(40)
+    for k in [0, 1, order - 1, order // 3] + [rng.randrange(order) for _ in range(5)]:
+        assert F.dlog(F.exp_at(k)) == k
+    assert F._log is None
+    # one baby table per prime factor of q - 1, none near sqrt(q - 1) = 2^20
+    assert set(F._bsgs_baby) <= set(prime_factors(order))
+    assert max(len(baby) for _, baby, _ in F._bsgs_baby.values()) <= math.isqrt(61681) + 1
+
+
 def test_coeffs_roundtrip():
     F = make_field(3, 2)
     for code in range(F.q):

@@ -35,6 +35,7 @@ from cyclomap.errors import (
 from cyclomap.gf import divisors
 from cyclomap.mto1 import (
     CRITERIA,
+    _counted_report,
     branch_map_fibers,
     branch_map_valid_ms,
     cor32,
@@ -155,6 +156,83 @@ def test_oracle_matches_an_eval_recount(small_branch_maps):
         for m in rep.valid_ms:
             want = sorted((x for x in image if recount[image[x]] != m), key=ctx.dlog)
             assert rep.exceptional_of(m) == tuple(want), (bm, m)
+
+
+def _assert_residue_report_is_the_count(bm) -> int:
+    """Compare both reports on both domains; the number of nonempty
+    exceptional sets compared."""
+    nonempty = 0
+    for include_zero in (False, True):
+        fast = classify_branch_map(bm, include_zero)
+        slow = _counted_report(bm, include_zero)
+        assert fast.domain_size == slow.domain_size
+        assert fast.histogram == slow.histogram, (bm, include_zero)
+        assert fast.valid_ms == slow.valid_ms, (bm, include_zero)
+        for m in slow.valid_ms:
+            exceptional = slow.exceptional_of(m)
+            assert fast.exceptional_of(m) == exceptional, (bm, include_zero, m)
+            nonempty += bool(exceptional)
+    return nonempty
+
+
+def _maps_up_to_symmetry(dec):
+    """Every branch map of one decomposition of F_q*, up to two symmetries
+    that keep every fiber size and exceptional set.
+
+    Branch i sends t to off_i + t*ell*r_i (mod N), so a map is fixed by its
+    offsets mod N and its exponents mod the coset size s.  Scaling the map
+    by a constant shifts every offset, so off_0 = 0.  At ell = N every coset
+    is one point and any offsets occur; relabeling the image exponents keeps
+    the fibers, so the offsets are restricted growth strings, one per set
+    partition of the N points.
+    """
+    N, ell, s = dec.ctx.order, dec.index, dec.coset_size
+    if ell == N:
+        offset_tuples = [()]
+        for _ in range(N):
+            offset_tuples = [offs + (v,) for offs in offset_tuples
+                             for v in range(max(offs, default=-1) + 2)]
+        exponent_tuples = [(1,) * N]
+    else:
+        offset_tuples = [(0, *rest) for rest in product(range(N), repeat=ell - 1)]
+        exponent_tuples = list(product(range(s), repeat=ell))
+    for offs in offset_tuples:
+        for rs in exponent_tuples:
+            las = [off - i * r for i, (off, r) in enumerate(zip(offs, rs))]
+            yield BranchMap(dec, log_scales=las, exponents=rs)
+
+
+def test_residue_classifier_matches_the_count_on_every_small_map():
+    # every index of F_5*, F_7* and F_9*, every map up to symmetry
+    maps = nonempty = 0
+    for p, n in ((5, 1), (7, 1), (3, 2)):
+        F = make_field(p, n)
+        for ell in divisors(F.q - 1):
+            for bm in _maps_up_to_symmetry(decompose(multiplicative_group(F), ell)):
+                nonempty += _assert_residue_report_is_the_count(bm)
+                maps += 1
+    assert maps == (4 + 16 + 15) + (6 + 54 + 288 + 203) + (8 + 128 + 8192 + 4140)
+    assert nonempty >= 4000  # valid m with a nonempty exceptional set
+
+
+def test_residue_classifier_matches_the_count_on_random_maps():
+    rng = SplitMix64(1978)
+    zero_exponents = full_period = nonempty = 0
+    for p, n in ((13, 1), (17, 1), (5, 2), (29, 1), (2, 6), (3, 4)):
+        F = make_field(p, n)
+        N = F.q - 1
+        for ell in divisors(N):
+            dec = decompose(multiplicative_group(F), ell)
+            for _ in range(100):
+                las = [rng.randrange(N) for _ in range(ell)]
+                # exponents up to 3N, a fifth of them = 0 mod N
+                rs = [N * rng.randrange(4) if rng.randrange(5) == 0
+                      else rng.randrange(3 * N + 1) for _ in range(ell)]
+                bm = BranchMap(dec, log_scales=las, exponents=rs)
+                nonempty += _assert_residue_report_is_the_count(bm)
+                zero_exponents += any(r % N == 0 for r in rs)
+                full_period += ell * math.lcm(*bm.multiplicities) == N
+    assert zero_exponents >= 2500 and full_period >= 2500 and nonempty >= 500
 
 
 def test_branch_map_fast_path_matches_generic(f13):

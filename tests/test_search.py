@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -315,6 +316,24 @@ def test_enumerate_respects_limit_and_verifies(f13):
     assert len(stream) == 5
     for bm in stream:
         assert 3 in branch_map_valid_ms(bm)
+
+
+def test_enumerate_walks_its_windows_lazily():
+    # default windows at GF(2^14), index 3: 16383^3 constant tuples, which
+    # the stream once stored before yielding its first map
+    import tracemalloc
+
+    from cyclomap.search import _lattice
+
+    window = range(700)  # a stored lattice would hold 2 * 700^2 tuples
+    tracemalloc.start()
+    try:
+        first = list(islice(_lattice(2, window, window), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [((0, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 2))]
+    assert peak < 1 << 20, peak
 
 
 def test_enumerate_rejects_m_above_the_group_order(f13, monkeypatch):
