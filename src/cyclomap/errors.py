@@ -85,9 +85,8 @@ class GcdHypothesis(HypothesisError):
 
 class RootOnUnitCircle(CyclomapError):
     """h vanishes where the map needs it nonzero.  `point` is the root's
-    element code from `make_wrapped` and `xrh_valid_ms` (and the criteria
-    built on it), the coset index j of the root zeta0^j from
-    `classify_wrapped`, and None from the CBU and CB0 constructors."""
+    element code, or None where the raiser names no root (the CBU and CB0
+    constructors)."""
 
     def __init__(self, msg, point=None):
         super().__init__(msg)

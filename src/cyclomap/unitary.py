@@ -5,7 +5,9 @@ the norm-one subgroup U of order q+1.  When g acts as a monomial on each
 coset of a subgroup of U the branch criteria apply verbatim with the unit
 generator's logs.  x^r h(x^s), s = (q-1)/l, is the index-l branch map
 (h(zeta^i), r), zeta = g^s: `criterion_equal_d` decides its subgroup
-reduction, and the oracle classifies f as that map at l = q+1.  Named
+reduction, and the oracle classifies f as that map at l = q+1.  That one
+map, built by `_xrh_branch_map`, fixes g too: with zeta0 = g^(q-1) and
+off_j = j*r + log h(zeta0^j), g(zeta0^j) = zeta0^(off_j).  Named
 binomial/trinomial families with closed-form predictions live here too.
 """
 
@@ -100,13 +102,15 @@ class UnitMapping:
 
 
 def reduce_to_unit(wm: WrappedMap) -> UnitMapping:
-    F = wm.field
-    q = wm.base_q
-    table = []
-    for x in wm.unit:
-        hx = wm.h.eval(x)
-        table.append(F.mul(F.pow(x, wm.r), F.pow(hx, q - 1)))
-    return UnitMapping(wm.unit, table)
+    """g read from f's index-(q+1) branch map: g(zeta0^j) = zeta0^(off_j)."""
+    return _unit_mapping(wm.unit, _xrh_branch_map(wm.field, wm.r, wm.h, wm.base_q + 1))
+
+
+def _unit_mapping(unit: GroupContext, f_map: BranchMap) -> UnitMapping:
+    # zeta0 = g^index and the generator is zeta0^e: g(generator^k) = zeta0^(off_(e*k))
+    n, e = unit.order, unit._gen_log // unit.index
+    return UnitMapping(unit, [unit.field.exp_at(unit.index * f_map.image_residue(e * k % n, n))
+                              for k in range(n)])
 
 
 def infer_monomial_branches(g: UnitMapping, ell: int) -> BranchMap | None:
@@ -152,16 +156,7 @@ def classify_wrapped(wm: WrappedMap):
     the index-(q+1) branch map of GF(q^2)* with branches (h(zeta0^i), r)
     and is classified as one, by counting its points.
     """
-    F = wm.field
-    q = wm.base_q
-    branches = []
-    for j in range(q + 1):
-        val = wm.h.eval(F.exp_at((q - 1) * j))
-        if val == 0:
-            raise RootOnUnitCircle("h vanishes on the unit circle", point=j)
-        branches.append((val, wm.r))
-    decomp = CosetDecomposition(multiplicative_group(F), q + 1)
-    return _counted_report(BranchMap(decomp, branches))
+    return _counted_report(_xrh_branch_map(wm.field, wm.r, wm.h, wm.base_q + 1))
 
 
 def classify_unit_mapping(g: UnitMapping):
@@ -180,10 +175,11 @@ def _wrap_bound_ok(q: int, m: int) -> bool:
 def criterion_wrapped(wm: WrappedMap, m: int, ell: int | None = None) -> CriterionVerdict:
     """m-to-1 of f over GF(q^2)* decided on the unit circle.
 
-    With a coset index and monomial branches, the two-branch or
-    equal-multiplicity criterion runs with unit-circle logs, conjoined with the
-    wrapping bound.  Otherwise it is `criterion_equal_d` on f's index-(q+1)
-    branch map as in `criterion_xrh`, with d = 1 and the wrapping bound as size bound.
+    Both paths read f's index-(q+1) branch map, built at most once per call.
+    With a coset index and monomial branches of g(zeta0^j) = zeta0^(off_j),
+    the two-branch or equal-multiplicity criterion runs with unit-circle logs,
+    conjoined with the wrapping bound.  Otherwise it is `criterion_equal_d` on
+    f's map as in `criterion_xrh`, with d = 1 and the wrapping bound as size bound.
     """
     q = wm.base_q
     if math.gcd(wm.r, q - 1) != 1:
@@ -191,8 +187,12 @@ def criterion_wrapped(wm: WrappedMap, m: int, ell: int | None = None) -> Criteri
     if not 1 <= m <= q + 1:
         return _na("m-out-of-range")
     wrap_ok = _wrap_bound_ok(q, m)
+    f_map = None
     if ell is not None:
-        bm = infer_monomial_branches(reduce_to_unit(wm), ell)
+        if ell < 1 or (q + 1) % ell:
+            raise IndexNotDividingOrder(f"{ell} does not divide {q + 1}")
+        f_map = _xrh_branch_map(wm.field, wm.r, wm.h, q + 1)
+        bm = infer_monomial_branches(_unit_mapping(wm.unit, f_map), ell)
         if bm is not None:
             inner = None
             if ell == 2:
@@ -207,7 +207,7 @@ def criterion_wrapped(wm: WrappedMap, m: int, ell: int | None = None) -> Criteri
                 return CriterionVerdict(True, inner.holds, f"unit {path}: {inner.witness}")
     if not wrap_ok:
         return _no("unit oracle: wrapping bound fails")
-    if criterion_equal_d(_xrh_branch_map(wm.field, wm.r, wm.h, q + 1), m).holds:
+    if criterion_equal_d(f_map or _xrh_branch_map(wm.field, wm.r, wm.h, q + 1), m).holds:
         return _yes("unit oracle: g is m-to-1 and wrapping bound holds")
     return _no("unit oracle: g is not m-to-1")
 

@@ -91,14 +91,21 @@ def test_eval_wrapped_is_power_times_h():
 
 
 def test_reduce_to_unit_pointwise():
-    F = ext_field_for(5)
-    unit = unit_circle(F, 5)
-    h = Polynomial.from_terms(F, {0: 1, 1: F.from_int(2)})  # 1 + 2x, no unit roots
-    wm = make_wrapped(5, 1, h, field=F, unit=unit)
-    g = reduce_to_unit(wm)
-    for x in unit:
-        assert g(x) == F.mul(F.pow(x, 1), F.pow(h.eval(x), 4))
-        assert unit.contains(g(x))  # g maps the circle into itself
+    # g recounted point by point, on unit circles with other generators and
+    # with r <= 0 and r >= q^2 - 1, where the table is read from f's offsets
+    for q, gen_exps in ((5, (1, 5)), (7, (1, 3, 5)), (8, (1, 2, 4))):
+        F = ext_field_for(q)
+        hs = [h for _, _, _, h in _random_rootfree(q, 3 * q, 2)]
+        if q == 5:
+            hs.append(Polynomial.from_terms(F, {0: 1, 1: F.from_int(2)}))  # 1 + 2x
+        for ge in gen_exps:
+            unit = unit_circle(F, q, generator=F.exp_at((q - 1) * ge))
+            for h in hs:
+                for r in (1, 3, 0, -1, -q, q * q - 1, q * q + 2):
+                    g = reduce_to_unit(make_wrapped(q, r, h, field=F, unit=unit))
+                    for x in unit:
+                        assert g(x) == F.mul(F.pow(x, r), F.pow(h.eval(x), q - 1)), (q, ge, r)
+                        assert unit.contains(g(x))  # g maps the circle into itself
 
 
 def _check_against_recount(wm) -> int:
@@ -147,9 +154,10 @@ def test_classify_wrapped_names_the_root():
     unit = unit_circle(F, 5)
     h = Polynomial.from_terms(F, {1: 1, 0: F.neg(unit.element(2))})  # x - zeta^2
     wm = WrappedMap(base_q=5, field=F, r=1, h=h, unit=unit)  # unchecked
-    with pytest.raises(RootOnUnitCircle) as exc:
-        classify_wrapped(wm)
-    assert exc.value.point == 2
+    for call in (classify_wrapped, reduce_to_unit):
+        with pytest.raises(RootOnUnitCircle) as exc:
+            call(wm)
+        assert exc.value.point == unit.element(2) == 16
 
 
 # -- branch inference ---------------------------------------------------------------
@@ -251,27 +259,61 @@ def test_criterion_wrapped_oracle_equivalence_small():
 
 
 def test_criterion_wrapped_unit_paths_agree_with_oracle_path():
-    # monomial-branch path (two-branch and equal-multiplicity) vs oracle path
+    # monomial-branch path (two-branch and equal-multiplicity) vs oracle path,
+    # on both generators of U_6 and with r <= 0 and r >= q^2 - 1
     q = 5
     F = ext_field_for(q)
-    unit = unit_circle(F, q)
     t = (q + 1) // 2
-    for j in range(q + 1):
-        a = unit.element(j)
-        for u in range(t):
-            for r in (1, 3, 5, 7):
-                if math.gcd(r, q - 1) != 1:
-                    continue
-                h = Polynomial.from_terms(F, {0: 1, u + t: a})
-                try:
-                    wm = make_wrapped(q, r, h, field=F, unit=unit)
-                except RootOnUnitCircle:
-                    continue
-                for m in range(1, q + 2):
-                    via_l2 = criterion_wrapped(wm, m, ell=2)
-                    via_oracle = criterion_wrapped(wm, m)
-                    via_equal = criterion_wrapped(wm, m, ell=q + 1)
-                    assert via_l2.holds == via_oracle.holds == via_equal.holds
+    for ge in (1, 5):
+        unit = unit_circle(F, q, generator=F.exp_at((q - 1) * ge))
+        for j in range(q + 1):
+            a = unit.element(j)
+            for u in range(t):
+                for r in (1, 3, 5, 7, -1, -3, 25, 27):
+                    if math.gcd(r, q - 1) != 1:
+                        continue
+                    h = Polynomial.from_terms(F, {0: 1, u + t: a})
+                    try:
+                        wm = make_wrapped(q, r, h, field=F, unit=unit)
+                    except RootOnUnitCircle:
+                        continue
+                    for m in range(1, q + 2):
+                        via_l2 = criterion_wrapped(wm, m, ell=2)
+                        via_oracle = criterion_wrapped(wm, m)
+                        via_equal = criterion_wrapped(wm, m, ell=q + 1)
+                        assert via_l2.holds == via_oracle.holds == via_equal.holds
+
+
+def test_unit_circle_paths_evaluate_h_once_per_point(monkeypatch):
+    # f's index-(q+1) branch map is the only evaluation of h on the circle:
+    # criterion_wrapped builds it at most once per call, and not at all when
+    # no path reads it
+    evals = []
+    real = Polynomial.eval
+    monkeypatch.setattr(Polynomial, "eval", lambda self, x: evals.append(1) or real(self, x))
+
+    def count(call, *args):
+        evals.clear()
+        call(*args)
+        return len(evals)
+
+    q = 7
+    F = ext_field_for(q)
+    for ge in (1, 3):
+        unit = unit_circle(F, q, generator=F.exp_at((q - 1) * ge))
+        for _, _, r, h in _random_rootfree(q, 17, 3):
+            wm = make_wrapped(q, r, h, field=F, unit=unit)
+            assert count(classify_wrapped, wm) == q + 1
+            assert count(reduce_to_unit, wm) == q + 1
+            for m in range(1, q + 2):
+                built = q + 1 if unitary._wrap_bound_ok(q, m) else 0
+                assert count(criterion_wrapped, wm, m) == built
+                for ell in (1, 2, 4, 8):
+                    assert count(criterion_wrapped, wm, m, ell) == q + 1
+                evals.clear()
+                with pytest.raises(IndexNotDividingOrder, match=f"^3 does not divide {q + 1}$"):
+                    criterion_wrapped(wm, m, 3)
+                assert evals == []
 
 
 def test_permutation_monomial(f13):
