@@ -4,12 +4,15 @@ A mapping f on a finite set A of size k*m + r (0 <= r < m) is m-to-1 when
 exactly k image points have exactly m preimages; the r leftover domain
 points form the exceptional set.  `classify_pairs`, `classify_callable`,
 `classify_polynomial` and `branch_map_valid_ms` count preimages directly
-(the oracle).  `classify_branch_map` is exact from residue classes in
-O(L), L = index * lcm of the branch multiplicities, and counts no point;
-it is differentially tested against the counting report, which
-`classify_wrapped` keeps using.  The `criterion_*` functions decide the
-same question from branch data alone and are differentially verified
-against the oracle.
+(the oracle).  `branch_map_valid_ms`, the oracle of every sweep, counts
+each image of a group of order at most 255 as one byte of a packed int
+(sums of shifted per-step counts), and walks coset progressions
+(`branch_map_fibers`) above that.  `classify_branch_map` is exact from
+residue classes in O(L), L = index * lcm of the branch multiplicities,
+and counts no point; it is differentially tested against the counting
+report, which `classify_wrapped` keeps using.  The `criterion_*`
+functions decide the same question from branch data alone and are
+differentially verified against the oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Callable, NamedTuple
 
 from .cyclotomic import BranchMap, CosetDecomposition, Polynomial, multiplicative_group
 from .errors import (
+    CapExceeded,
     DomainElementOutsideField,
     HypothesisViolated,
     UnequalGcds,
@@ -114,11 +118,12 @@ def classify_callable(fn: Callable[[int], int], domain, order_key=None) -> Mto1R
 
 
 def branch_map_fibers(bm: BranchMap) -> Counter:
-    """Image-exponent -> preimage-count over the whole group (the oracle core).
+    """Image-exponent -> preimage-count over the whole group, point by point.
 
     Coset i holds the exponents k = i + t*ell, and branch i sends them to
     i*r_i + log a_i + t*ell*r_i (mod N): one progression per coset, and
-    each of its s images is counted.
+    each of its s images is counted.  `_counted_report` and the large-group
+    fallback of `branch_map_valid_ms` read it.
     """
     N = bm.decomp.ctx.order
     ell = bm.decomp.index
@@ -131,9 +136,60 @@ def branch_map_fibers(bm: BranchMap) -> Counter:
     return Counter(map(N.__rmod__, chain.from_iterable(walks)))
 
 
+# The packed oracle holds one fiber size per byte, so it serves groups
+# whose largest possible fiber, the whole group, fits in a byte.
+_PACKED_MAX_ORDER = 255
+# (N, ell) -> packed step counts, indexed by r mod s (s = N // ell): byte e
+# of entry j counts the t < s with t * ell*j = e (mod N), and ell*j is the
+# step ell*r mod N of a coset whose exponent is r.
+_STEP_COUNTS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _step_counts(N: int, ell: int) -> tuple[int, ...]:
+    s = N // ell
+    packed = []
+    for j in range(s):
+        counts = bytearray(N)
+        for t in range(s):
+            counts[t * ell * j % N] += 1
+        packed.append(int.from_bytes(counts, "little"))
+    _STEP_COUNTS[N, ell] = table = tuple(packed)
+    return table
+
+
 def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:
-    """Admissible m set over the group by brute force; fast path for sweeps."""
-    return _multiplicities(branch_map_fibers(bm).values())[2]
+    """Admissible m set over the group by counting every point; the oracle
+    of every sweep.
+
+    Coset i sends its s points to start + t*step (mod N), t < s, with
+    start = i*r_i + log a_i and step = ell*r_i mod N.  For N <= 255 the
+    images of one step are counted once, one byte per image exponent, in
+    a packed int; a map's fiber sizes are the sum over its cosets of that
+    int shifted by start mod N bytes, with the bytes past N folded back
+    once.  No fiber exceeds N, so no byte carries.  Larger groups walk
+    `branch_map_fibers`.
+    """
+    decomp = bm.decomp
+    N = decomp.ctx.order
+    if N > _PACKED_MAX_ORDER:
+        return _multiplicities(branch_map_fibers(bm).values())[2]
+    ell = decomp.index
+    steps = _STEP_COUNTS.get((N, ell)) or _step_counts(N, ell)
+    s = decomp.coset_size
+    total = 0
+    for r, start in zip(bm.exponents, bm._offsets):
+        total += steps[r % s] << 8 * (start % N)
+    width = 8 * N
+    total = (total & ((1 << width) - 1)) + (total >> width)
+    sizes = total.to_bytes(N, "little")
+    count = sizes.count
+    return frozenset([m for m in set(sizes) if m and count(m) == N // m])
+
+
+# `classify_branch_map` holds one int per residue class mod L; beyond this
+# many it refuses rather than exhaust memory (L reaches N when an exponent
+# is 0 mod N).
+_MAX_RESIDUES = 1 << 22
 
 
 def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
@@ -143,7 +199,8 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
     off_i = i*r_i + log a_i, and hits each of them d_i times.  So the fiber
     size at e depends only on e mod L, L = ell*lcm(d_i), which divides the
     group order N, and each residue mod L stands for N/L exponents: the
-    report takes O(L) steps and counts no point.
+    report takes O(L) steps and counts no point.  It raises CapExceeded
+    when L exceeds `_MAX_RESIDUES`.
 
     include_zero only makes sense on a full multiplicative group, where the
     map extends by 0 -> 0; branch constants are nonzero so nothing else
@@ -153,6 +210,11 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
     N, ell = ctx.order, bm.decomp.index
     ds, offsets = bm.multiplicities, bm._offsets
     L = ell * math.lcm(*ds)
+    if L > _MAX_RESIDUES:
+        raise CapExceeded(
+            f"exact classification needs {L} residue classes"
+            f" (ell * lcm of the multiplicities), more than the cap {_MAX_RESIDUES}"
+        )
     sizes = [0] * L  # fiber size at the exponents of each residue mod L
     for d, off in zip(ds, offsets):
         step = ell * d

@@ -9,6 +9,8 @@ import hashlib
 import math
 import time
 
+import pytest
+
 from cyclomap import (
     BranchMap,
     Polynomial,
@@ -39,6 +41,9 @@ from cyclomap.unitary import (
     family_ctab,
     family_ctkuv,
 )
+
+# `pytest -m "not acceptance"` leaves these sweeps out of a development run
+pytestmark = pytest.mark.acceptance
 
 
 def _assert_pinned(reports, digest):

@@ -215,6 +215,22 @@ def test_cyc_classify_degree_40_in_a_fresh_process():
     assert payload["branches"] == [["g^5", 7], ["g^11", 7], ["g^2", 7]]
 
 
+def test_cyc_classify_refuses_a_residue_list_past_its_cap():
+    # r = 0 makes L = ell * lcm(d_i) the group order 2^40 - 1: one error
+    # line and exit 1, not a MemoryError traceback
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclomap.cli", "cyc-classify",
+         "--field", "2^40", "--ell", "3", "--branches", "g:0,g:7,g:7"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 LARGE_Q_REFERENCE = (pathlib.Path(__file__).resolve().parents[1]
                      / "bench" / "reference" / "large-q.json")
 

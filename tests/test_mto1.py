@@ -36,6 +36,7 @@ from cyclomap.gf import divisors
 from cyclomap.mto1 import (
     CRITERIA,
     _counted_report,
+    _multiplicities,
     branch_map_fibers,
     branch_map_valid_ms,
     cor32,
@@ -142,8 +143,9 @@ def test_exceptional_sets_match_element_recount(f13, f17, f25, f64):
 
 
 def test_oracle_matches_an_eval_recount(small_branch_maps):
-    # the coset-progression count against one bm.eval per point, exceptional
-    # sets included, on log-form maps over F_q* and the unit circle
+    # the coset-progression count and the packed sweep oracle against one
+    # bm.eval per point, exceptional sets included, on log-form maps over
+    # F_q* and the unit circle; F_7* and the circle share the order-6 tables
     for dec, las, rs in small_branch_maps:
         ctx = dec.ctx
         bm = BranchMap(dec, log_scales=las, exponents=rs)
@@ -152,10 +154,36 @@ def test_oracle_matches_an_eval_recount(small_branch_maps):
         fibers = branch_map_fibers(bm)
         assert {ctx.element(e): c for e, c in fibers.items()} == recount
         assert sum(fibers.values()) == ctx.order
+        valid = _multiplicities(recount.values())[2]
+        assert branch_map_valid_ms(bm) == _multiplicities(fibers.values())[2] == valid
         rep = classify_branch_map(bm)
         for m in rep.valid_ms:
             want = sorted((x for x in image if recount[image[x]] != m), key=ctx.dlog)
             assert rep.exceptional_of(m) == tuple(want), (bm, m)
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (257, 1)])
+def test_packed_oracle_at_the_byte_limit(p, n):
+    # N = 255 is the largest group packed one byte per fiber size; there
+    # ell = 1 and r = 0 fill one byte with 255.  N = 256 walks the cosets,
+    # and its constant maps have a fiber of 256 points, which no byte holds.
+    ctx = multiplicative_group(make_field(p, n))
+    N = ctx.order
+    rng = SplitMix64(N)
+    for ell in divisors(N):
+        dec = decompose(ctx, ell)
+        s = dec.coset_size
+        maps = [((5,) * ell, (0,) * ell), ((5,) * ell, (N,) * ell)]
+        for _ in range(12):
+            las = tuple(rng.randrange(3 * N) - N for _ in range(ell))
+            rs = tuple((0, s, -1, 2 * N + 1, rng.randrange(3 * N) - N)[rng.randrange(5)]
+                       for _ in range(ell))
+            maps.append((las, rs))
+        for las, rs in maps:
+            bm = BranchMap(dec, log_scales=las, exponents=rs)
+            recount = _multiplicities(Counter(map(bm.eval, ctx)).values())[2]
+            walk = _multiplicities(branch_map_fibers(bm).values())[2]
+            assert branch_map_valid_ms(bm) == walk == recount, (N, ell, las, rs)
 
 
 def _assert_residue_report_is_the_count(bm) -> int:
