@@ -547,17 +547,16 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    registry = {}
-    config = {}
+    text = ""
     if args.config:
         try:
             with open(args.config) as fh:
-                config = parse_config(fh.read())
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
-        registry = config
     try:
+        config = registry = parse_config(text)
         if args.command == "verify":
             return _cmd_verify(args, registry, config)
         return _HANDLERS[args.command](args, registry)

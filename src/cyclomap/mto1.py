@@ -7,7 +7,8 @@ points form the exceptional set.  `classify_pairs`, `classify_callable`,
 (the oracle).  `branch_map_valid_ms`, the oracle of every sweep, counts
 each image of a group of order at most 255 as one byte of a packed int
 (sums of shifted per-step counts), and walks coset progressions
-(`branch_map_fibers`) above that.  `classify_branch_map` is exact from
+(`branch_map_fibers`, from `_coset_walks`) above that; every report is
+filled from one fiber-size histogram.  `classify_branch_map` is exact from
 residue classes in O(L), L = index * lcm of the branch multiplicities,
 and counts no point; it is differentially tested against the counting
 report, which `classify_wrapped` keeps using.  The `criterion_*`
@@ -28,6 +29,7 @@ from .errors import (
     DomainElementOutsideField,
     HypothesisViolated,
     UnequalGcds,
+    UnsupportedContext,
     WrongIndex,
 )
 from .gf import make_field, split_prime_power
@@ -45,19 +47,20 @@ class Mto1Report:
     __slots__ = ("domain_size", "histogram", "valid_ms", "_exceptional_fn")
 
     def __init__(self, fiber_sizes, exceptional_fn):
-        self.domain_size, histogram, self.valid_ms = _multiplicities(fiber_sizes)
-        self.histogram = dict(histogram)
-        self._exceptional_fn = exceptional_fn
+        self._fill(Counter(fiber_sizes), exceptional_fn)
 
     @classmethod
     def from_histogram(cls, histogram: dict, exceptional_fn) -> "Mto1Report":
         """A report from fiber size -> number of images with that size."""
         report = cls.__new__(cls)
-        report.histogram = histogram
-        report.domain_size = size = sum(m * c for m, c in histogram.items())
-        report.valid_ms = _valid_ms(size, histogram)
-        report._exceptional_fn = exceptional_fn
+        report._fill(histogram, exceptional_fn)
         return report
+
+    def _fill(self, histogram, exceptional_fn):
+        self.histogram = dict(histogram)
+        self.domain_size = size = sum(m * c for m, c in self.histogram.items())
+        self.valid_ms = _valid_ms(size, self.histogram)
+        self._exceptional_fn = exceptional_fn
 
     def exceptional_of(self, m: int) -> tuple[int, ...]:
         """Domain elements whose fiber size differs from m, by ascending log."""
@@ -87,17 +90,8 @@ class Mto1Report:
         )
 
 
-def _multiplicities(fiber_sizes) -> tuple[int, Counter, frozenset[int]]:
-    """(domain size, histogram, valid m) of a fiber table's sizes.
-
-    m is valid when exactly domain_size // m images have m preimages.
-    """
-    size = sum(fiber_sizes)
-    histogram = Counter(fiber_sizes)
-    return size, histogram, _valid_ms(size, histogram)
-
-
 def _valid_ms(size: int, histogram) -> frozenset[int]:
+    """m is valid when exactly size // m images have m preimages."""
     return frozenset(m for m, c in histogram.items() if c == size // m)
 
 
@@ -117,23 +111,24 @@ def classify_callable(fn: Callable[[int], int], domain, order_key=None) -> Mto1R
     return classify_pairs(((x, fn(x)) for x in domain), order_key)
 
 
-def branch_map_fibers(bm: BranchMap) -> Counter:
-    """Image-exponent -> preimage-count over the whole group, point by point.
-
-    Coset i holds the exponents k = i + t*ell, and branch i sends them to
-    i*r_i + log a_i + t*ell*r_i (mod N): one progression per coset, and
-    each of its s images is counted.  `_counted_report` and the large-group
-    fallback of `branch_map_valid_ms` read it.
-    """
+def _coset_walks(bm: BranchMap) -> list[range]:
+    """Per coset, its image exponents unreduced mod N: coset i holds the
+    k = i + t*ell, t < s, and branch i sends them to i*r_i + log a_i + t*ell*r_i."""
     N = bm.decomp.ctx.order
     ell = bm.decomp.index
     s = bm.decomp.coset_size
     walks = []
-    for i, (r, la) in enumerate(zip(bm.exponents, bm.log_scales)):
-        start = i * r + la
+    for r, start in zip(bm.exponents, bm._offsets):
         step = ell * r % N or N  # r = 0 (mod N): all s points land on start
         walks.append(range(start, start + s * step, step))
-    return Counter(map(N.__rmod__, chain.from_iterable(walks)))
+    return walks
+
+
+def branch_map_fibers(bm: BranchMap) -> Counter:
+    """Image-exponent -> preimage-count over the whole group, each point of
+    each coset walk counted; `_counted_report` and the large-group fallback
+    of `branch_map_valid_ms` read it."""
+    return Counter(map(bm.decomp.ctx.order.__rmod__, chain.from_iterable(_coset_walks(bm))))
 
 
 # The packed oracle holds one fiber size per byte, so it serves groups
@@ -172,7 +167,7 @@ def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:
     decomp = bm.decomp
     N = decomp.ctx.order
     if N > _PACKED_MAX_ORDER:
-        return _multiplicities(branch_map_fibers(bm).values())[2]
+        return _valid_ms(N, Counter(branch_map_fibers(bm).values()))
     ell = decomp.index
     steps = _STEP_COUNTS.get((N, ell)) or _step_counts(N, ell)
     s = decomp.coset_size
@@ -184,6 +179,17 @@ def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:
     sizes = total.to_bytes(N, "little")
     count = sizes.count
     return frozenset([m for m in set(sizes) if m and count(m) == N // m])
+
+
+def _zero_extended(report: Mto1Report, ctx) -> Mto1Report:
+    """report with 0 -> 0 added, a fiber of its own as branch constants are
+    nonzero; only a map on F_q* extends so (UnsupportedContext otherwise)."""
+    if not ctx.is_full:
+        raise UnsupportedContext("0 -> 0 extends a branch map on the full group F_q* only")
+    histogram = dict(report.histogram)
+    histogram[1] = histogram.get(1, 0) + 1
+    star = report._exceptional_fn
+    return Mto1Report.from_histogram(histogram, lambda m: (() if m == 1 else (0,)) + star(m))
 
 
 # `classify_branch_map` holds one int per residue class mod L; beyond this
@@ -202,9 +208,7 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
     report takes O(L) steps and counts no point.  It raises CapExceeded
     when L exceeds `_MAX_RESIDUES`.
 
-    include_zero only makes sense on a full multiplicative group, where the
-    map extends by 0 -> 0; branch constants are nonzero so nothing else
-    maps to 0.
+    include_zero extends the map by 0 -> 0 (`_zero_extended`).
     """
     ctx = bm.decomp.ctx
     N, ell = ctx.order, bm.decomp.index
@@ -222,8 +226,6 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
             sizes[e] += d
     weight = N // L
     histogram = {c: n * weight for c, n in Counter(sizes).items() if c}
-    if include_zero:  # 0 -> 0 adds the fiber {0}
-        histogram[1] = histogram.get(1, 0) + 1
 
     def exceptional(m: int) -> tuple[int, ...]:
         # k = i + t*ell has the image residue off_i + t*ell*r_i mod L, of
@@ -238,10 +240,10 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
                 if sizes[(off + t * step) % L] != m:
                     ks.extend(range(i + t * ell, N, period * ell))
         ks.sort()
-        zero = (0,) if include_zero and m != 1 else ()
-        return zero + tuple(map(ctx.element, ks))
+        return tuple(map(ctx.element, ks))
 
-    return Mto1Report.from_histogram(histogram, exceptional)
+    report = Mto1Report.from_histogram(histogram, exceptional)
+    return _zero_extended(report, ctx) if include_zero else report
 
 
 def _counted_report(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
@@ -251,26 +253,20 @@ def _counted_report(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
     ctx = bm.decomp.ctx
 
     def exceptional(m: int) -> tuple[int, ...]:
-        # Branch i maps k = i (mod ell) to the exponent k*r_i + log a_i, so
-        # its exponents step by ell*r_i.  Only exponents whose fiber size
-        # differs from m are looked for, and only their preimages become
-        # elements.
+        # Point t of coset i, k = i + t*ell, maps to step t of its coset
+        # walk.  Only exponents whose fiber size differs from m are looked
+        # for, and only their preimages become elements.
         odd = {e for e, c in fibers.items() if c != m}
         ks = []
         if odd:
             N, ell = ctx.order, bm.decomp.index
-            for i, (r, la) in enumerate(zip(bm.exponents, bm.log_scales)):
-                r %= N
-                start, step = (i * r + la) % N, ell * r
-                ks.extend(i + t * ell for t in range(bm.decomp.coset_size)
-                          if (start + t * step) % N in odd)
+            for i, walk in enumerate(_coset_walks(bm)):
+                ks.extend(i + t * ell for t, e in enumerate(walk) if e % N in odd)
             ks.sort()
-        zero = (0,) if include_zero and m != 1 else ()
-        return zero + tuple(ctx.element(k) for k in ks)
+        return tuple(ctx.element(k) for k in ks)
 
-    # with include_zero, 0 -> 0 adds the fiber {0}
-    sizes = [*fibers.values(), 1] if include_zero else fibers.values()
-    return Mto1Report(sizes, exceptional)
+    report = Mto1Report(fibers.values(), exceptional)
+    return _zero_extended(report, ctx) if include_zero else report
 
 
 def classify_polynomial(poly: Polynomial, domain: str | tuple = "fqstar") -> Mto1Report:
@@ -322,11 +318,14 @@ def _na(witness: str) -> CriterionVerdict:
 def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
     """m-to-1 on F_q from m-to-1 on F_q*, for maps whose only root is 0.
 
-    fn: BranchMap (over the full group), Polynomial, or callable on codes,
-    evaluated once per point of F_q.  Raises HypothesisViolated when
-    f(0) != 0 or some nonzero root exists.
+    fn: BranchMap (over all of F_q*, else UnsupportedContext), Polynomial,
+    or callable on codes, evaluated once per point of F_q.  Raises
+    HypothesisViolated when f(0) != 0 or some nonzero root exists.
     """
     if isinstance(fn, BranchMap):
+        if not fn.decomp.ctx.is_full or fn.decomp.ctx.field.q != field.q:
+            raise UnsupportedContext(
+                f"lifting to GF({field.q}) needs a branch map on all of GF({field.q})*")
         zero_image = 0  # branch constants are nonzero, so no root but 0
         star_valid = branch_map_valid_ms(fn)
     else:
@@ -341,9 +340,11 @@ def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
                     f"nonzero root {x}: the map must vanish only at 0"
                 )
             fibers[y] += 1
-        star_valid = _multiplicities(fibers.values())[2]
+        star_valid = _valid_ms(field.q - 1, Counter(fibers.values()))
     if zero_image != 0:
         raise HypothesisViolated("the map must fix 0")
+    if m < 1:
+        return _na("m-out-of-range")
     on_star = m in star_valid
     if m == 1:
         return _yes("bijective-star") if on_star else _no("not-1to1-on-star")

@@ -25,6 +25,7 @@ from .gf import Field
 from .mto1 import (
     CRITERIA,
     branch_map_valid_ms,
+    classify_callable,
     criterion_2to1_any_l,
     criterion_equal_d,
     criterion_l2,
@@ -329,7 +330,8 @@ def enumerate_mto1(field: Field, ell: int, m: int, a_exp_range=None,
 
     The windows are filled and checked as `SweepSpec.normalized` fills its
     a and r windows.  Every yielded map is re-verified by a second,
-    element-level preimage count before it leaves the generator.
+    element-level preimage count (`classify_callable` on `bm.eval`) before
+    it leaves the generator.
     """
     if m < 1:
         raise ValueError(f"m={m} must be at least 1")
@@ -345,12 +347,7 @@ def enumerate_mto1(field: Field, ell: int, m: int, a_exp_range=None,
         bm = BranchMap(decomp, log_scales=a_exps, exponents=rs)
         if m not in branch_map_valid_ms(bm):
             continue
-        fibers = {}
-        for x in decomp.ctx:
-            y = bm.eval(x)
-            fibers[y] = fibers.get(y, 0) + 1
-        k = decomp.ctx.order // m
-        if sum(1 for c in fibers.values() if c == m) != k:
+        if m not in classify_callable(bm.eval, decomp.ctx).valid_ms:
             raise AssertionError("re-verification failed; oracle inconsistent")
         found += 1
         yield bm

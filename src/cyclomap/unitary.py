@@ -7,7 +7,9 @@ generator's logs.  x^r h(x^s), s = (q-1)/l, is the index-l branch map
 (h(zeta^i), r), zeta = g^s: `criterion_equal_d` decides its subgroup
 reduction, and the oracle classifies f as that map at l = q+1.  That one
 map, built by `_xrh_branch_map`, fixes g too: with zeta0 = g^(q-1) and
-off_j = j*r + log h(zeta0^j), g(zeta0^j) = zeta0^(off_j).  Named
+off_j = j*r + log h(zeta0^j), g(zeta0^j) = zeta0^(off_j).  So g is kept
+as its unit-circle logs (`UnitMapping`), read off f's offsets, and its
+branches are inferred from those logs without a field operation.  Named
 binomial/trinomial families with closed-form predictions live here too.
 """
 
@@ -71,13 +73,16 @@ class WrappedMap:
 
 def make_wrapped(q: int, r: int, h: Polynomial, *, field: Field | None = None,
                  unit: GroupContext | None = None) -> WrappedMap:
-    """Validate and build a wrapped map; h must not vanish on the unit circle."""
+    """Validate and build a wrapped map; h must not vanish on the unit circle,
+    and field and unit, when given, must be h's field and its order-(q+1) subgroup."""
     F = field if field is not None else h.field
-    if F.q != q * q:
+    if F.q != q * q or h.field is not F:
         raise ConstraintViolated(f"h must live in GF({q}^2)")
     if h.is_zero():
         raise ConstraintViolated("h must be nonzero")
     u = unit if unit is not None else unit_circle(F, q)
+    if u.field is not F or u.order != q + 1:
+        raise ConstraintViolated(f"unit must be the order-{q + 1} subgroup of GF({q}^2)")
     for x in u:
         if h.eval(x) == 0:
             raise RootOnUnitCircle(f"h vanishes at unit-circle point {x}", point=x)
@@ -89,16 +94,17 @@ def eval_wrapped(wm: WrappedMap, x: int) -> int:
 
 
 class UnitMapping:
-    """g(x) = x^r * h(x)^(q-1) tabulated over the unit circle."""
+    """g(x) = x^r * h(x)^(q-1) on the unit circle, as logs to its generator:
+    g(generator**k) = generator**logs[k]."""
 
-    __slots__ = ("unit", "table")
+    __slots__ = ("unit", "logs")
 
-    def __init__(self, unit: GroupContext, table):
+    def __init__(self, unit: GroupContext, logs):
         self.unit = unit
-        self.table = tuple(table)
+        self.logs = tuple([k % unit.order for k in logs])
 
     def __call__(self, x: int) -> int:
-        return self.table[self.unit.dlog(x)]
+        return self.unit.element(self.logs[self.unit.dlog(x)])
 
 
 def reduce_to_unit(wm: WrappedMap) -> UnitMapping:
@@ -107,31 +113,26 @@ def reduce_to_unit(wm: WrappedMap) -> UnitMapping:
 
 
 def _unit_mapping(unit: GroupContext, f_map: BranchMap) -> UnitMapping:
-    # zeta0 = g^index and the generator is zeta0^e: g(generator^k) = zeta0^(off_(e*k))
-    n, e = unit.order, unit._gen_log // unit.index
-    return UnitMapping(unit, [unit.field.exp_at(unit.index * f_map.image_residue(e * k % n, n))
-                              for k in range(n)])
+    # zeta0 = g^index and the generator is zeta0^e, so g(generator^k) =
+    # zeta0^(off_(e*k)) = generator^(off_(e*k) * e^-1)
+    n, e, e_inv = unit.order, unit._gen_log // unit.index, unit._log_factor
+    return UnitMapping(unit, [f_map.image_residue(e * k % n, n) * e_inv for k in range(n)])
 
 
 def infer_monomial_branches(g: UnitMapping, ell: int) -> BranchMap | None:
     """Recover scales/exponents with g = scale_i * x^(e_i) on each coset, or None.
 
-    e_i comes from the discrete log, base generator**ell, of
-    g(generator**ell * x) / g(x); the scale is fixed from one point and
-    every coset point is then checked.
+    On coset i, logs[k] = log scale_i + k*e_i (mod N): ell*e_i is
+    logs[i + ell] - logs[i], the scale's log is fixed from logs[i], and
+    every coset point is then checked.  The map is built from these logs.
     """
     unit = g.unit
     N = unit.order
     if ell < 1 or N % ell:
         raise IndexNotDividingOrder(f"{ell} does not divide {N}")
     t = N // ell
-    F = unit.field
-    logs = []
-    for img in g.table:
-        if not unit.contains(img):
-            return None
-        logs.append(unit.dlog(img))
-    branches = []
+    logs = g.logs
+    lam_logs, exponents = [], []
     for i in range(ell):
         ratio = (logs[(ell + i) % N] - logs[i]) % N if t > 1 else 0
         if ratio % ell:
@@ -141,8 +142,9 @@ def infer_monomial_branches(g: UnitMapping, ell: int) -> BranchMap | None:
         for k in range(i, N, ell):
             if logs[k] != (lam_log + k * e_i) % N:
                 return None
-        branches.append((unit.element(lam_log), e_i))
-    return BranchMap(CosetDecomposition(unit, ell), branches)
+        lam_logs.append(lam_log)
+        exponents.append(e_i)
+    return BranchMap(CosetDecomposition(unit, ell), log_scales=lam_logs, exponents=exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +162,8 @@ def classify_wrapped(wm: WrappedMap):
 
 
 def classify_unit_mapping(g: UnitMapping):
-    unit = g.unit
-    unit.field._load_tables()
-    return classify_pairs(
-        tuple((unit.element(k), g.table[k]) for k in range(unit.order)),
-        order_key=unit.dlog,
-    )
+    """Oracle classification of g on the unit circle; images are compared as logs."""
+    return classify_pairs(zip(g.unit, g.logs), order_key=g.unit.dlog)
 
 
 def _wrap_bound_ok(q: int, m: int) -> bool:

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -507,6 +508,18 @@ def test_verify_reads_the_a_window_from_a_config(tmp_path):
     assert json.loads(from_config[1])["total_cases"] == 256
 
 
+def test_unreadable_config_is_one_line(tmp_path):
+    # a line without '=' and a file that is not UTF-8 ended in tracebacks
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("13.generator 2\n")
+    assert run_cli(["--config", str(cfg), "field-info", "--field", "13"]) == (
+        1, "", "error: config line 1: expected 'key = value'\n")
+    cfg.write_bytes(b"13.generator = \xff\n")
+    code, out, err = run_cli(["--config", str(cfg), "field-info", "--field", "13"])
+    assert (code, out) == (1, "") and err.startswith("error: cannot read config: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_config_with_unknown_criterion(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("criterion = nope\nfield = 13\nell = 2\n")
@@ -541,6 +554,34 @@ _ATOMS = {
 # powers of g are nonzero in every field, so most drawn maps get past parsing
 _element = st.sampled_from(("power", "power", "power", "int", "vector", "zero")).flatmap(
     _ATOMS.__getitem__)
+# unit-circle notation: z is the circle's generator and e its designated power
+_unit_element = st.one_of(
+    _exponents.map(lambda k: f"z^{k}"), st.sampled_from(("e", "1+e", "z^-1*(1+e)")), _element)
+_poly_text = st.lists(st.tuples(_element, st.integers(0, 40)), min_size=1, max_size=3).map(
+    lambda terms: "+".join(f"{a}*x^{k}" for a, k in terms))
+_small = st.sampled_from((1, 0, 2, 3, -1, 6))
+# a valid modulus and generator of each field, then arbitrary ones
+_MODULI = {"5": "2,1", "13": "0,1", "3^2": "2,1,1", "2^4": "1,0,0,1,1"}
+_GENERATORS = {"5": "3", "13": "6", "3^2": "[1,1]", "2^4": "[0,0,1,1]"}
+_coeffs = st.lists(st.integers(0, 6), min_size=1, max_size=5).map(
+    lambda cs: ",".join(map(str, cs)))
+_generator = st.one_of(st.integers(0, 20).map(str), st.tuples(
+    st.integers(0, 3), st.integers(0, 3)).map(lambda c: f"[{c[0]},{c[1]}]"))
+
+
+def _modulus_of(field_id):
+    return st.one_of(st.just(_MODULI[field_id]), _coeffs)
+
+
+def _generator_of(field_id):
+    return st.one_of(st.just(_GENERATORS[field_id]), _generator)
+
+
+def _flags(draw, **values):
+    """--name=value for each drawn value; each flag is left out one time in eight."""
+    keep = st.sampled_from((True,) * 7 + (False,))
+    return [f"--{name.replace('_', '-')}={draw(value)}" for name, value in values.items()
+            if draw(keep)]
 
 
 @st.composite
@@ -558,22 +599,99 @@ def _branch_argv(draw, ell=None):
     return [f"--field={field_id}", f"--ell={ell}", f"--branches={branches}"]
 
 
+def _window(draw, name):
+    """--name-min and --name-max one or two apart, or an empty window."""
+    lo = draw(st.integers(-2, 16))
+    return [f"--{name}-min={lo}", f"--{name}-max={lo + draw(st.sampled_from((1, 0, -1)))}"]
+
+
+@st.composite
+def _config(draw):
+    """Field registry lines of a --config file; a line without '=' is a parse error."""
+    lines = []
+    for field_id in draw(st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=2)):
+        kind = draw(st.sampled_from(("generator", "generator", "modulus", "modulus", "junk")))
+        if kind == "junk":
+            lines.append("no equals sign")
+        else:
+            value = _generator_of if kind == "generator" else _modulus_of
+            lines.append(f"{field_id}.{kind} = {draw(value(field_id))}")
+    return "\n".join(lines)
+
+
+# Each family's parameters besides q; names match in any case, and xyz is unknown.
+_FAMILY_PARAMS = {
+    "cbu": ("r", "u", "a"), "cb0": ("r", "u", "a"), "ctab": ("r", "u", "v", "a", "b"),
+    "cta": ("r", "u", "v", "a"), "ctkuv": ("r", "u", "v", "k", "a"),
+    "b1": ("ell", "r", "v", "a"), "b2": ("ell", "r", "u", "v", "a"),
+    "b3": ("ell", "r", "v", "a"), "t4": ("r", "a"), "T5": ("r", "a"), "xyz": (),
+}
+
+
+def _family_argv(draw):
+    family = draw(st.sampled_from(tuple(_FAMILY_PARAMS)))
+    values = {"r": st.one_of(st.sampled_from((1, 3, 5, 7)), _exponents), "a": _unit_element,
+              "b": _unit_element}
+    argv = [f"--family={family}", f"--q={draw(st.sampled_from((5, 7, 11)))}",
+            *_flags(draw, **{name: values.get(name, _small) for name in _FAMILY_PARAMS[family]})]
+    if draw(st.booleans()):
+        argv.append("--check")
+    return argv
+
+
+_THEOREMS = ("l2", "l3", "2to1", "equal-d", "lift", "cor53", "cor56", "cor61", "cor62")
+
+
+def _crit_argv(draw, theorem):
+    field_id = draw(st.sampled_from(_FIELDS))
+    if theorem == "lift":
+        return _flags(draw, field=st.just(field_id), poly=_poly_text)
+    if theorem == "cor53":
+        return _flags(draw, field=st.just(field_id), ell=_ells, a0=_element, a1=_element,
+                      r0=_exponents, r1=_exponents)
+    if theorem == "cor56":
+        return _flags(draw, q=st.sampled_from((3, 5, 7, 4, 9, 2, 6, 0, -1)),
+                      n=st.sampled_from((1, 2, 0, 3, -1)), ell=st.sampled_from((1, 2, 4, 0, 3)))
+    if theorem == "cor61":
+        return _flags(draw, field=st.just(field_id), g0=_poly_text, g1=_poly_text,
+                      r0=_exponents, r1=_exponents)
+    if theorem == "cor62":
+        return _flags(draw, q=st.sampled_from((3, 5, 7, 9, 4, 6)), n=st.sampled_from((1, 2, 3, 0)),
+                      h0=_poly_text, h1=_poly_text, r0=_exponents, r1=_exponents)
+    return draw(_branch_argv({"l2": 2, "l3": 3}.get(theorem)))
+
+
 @st.composite
 def _cli_argv(draw):
-    command = draw(st.sampled_from(
-        ("cyc-classify", "relation", "expand", "crit", "unit-classify")))
-    if command == "unit-classify":
+    """A command line and the text of its --config file, or None."""
+    command, _, theorem = draw(st.sampled_from(
+        ("cyc-classify", "relation", "expand", "unit-classify", "classify", "enumerate",
+         "unit-family", "field-info", *(f"crit {t}" for t in _THEOREMS)))).partition(" ")
+    field_id = draw(st.sampled_from(_FIELDS))
+    q = field_from_id(field_id).q
+    if command == "field-info":
+        argv = [command, f"--field={field_id}", *_flags(
+            draw, modulus=_modulus_of(field_id), generator=_generator_of(field_id))]
+    elif command == "classify":
+        argv = [command, f"--field={field_id}", f"--poly={draw(_poly_text)}",
+                f"--domain={draw(st.sampled_from(('fq', 'fqstar')))}"]
+    elif command == "enumerate":
+        # at most 2 a values, 2 r values and 5 cosets: at most 4^5 maps
+        ell = draw(st.one_of(st.sampled_from([d for d in range(1, 6) if (q - 1) % d == 0]),
+                             st.integers(0, 5)))
+        argv = [command, f"--field={field_id}", f"--ell={ell}",
+                f"--m={draw(st.one_of(st.sampled_from((2, 1, 3, 4)), _exponents))}",
+                f"--limit={draw(st.integers(-1, 3))}", *_window(draw, "a"), *_window(draw, "r")]
+    elif command == "unit-family":
+        argv = [command, *_family_argv(draw)]
+    elif command == "unit-classify":
         q = draw(st.sampled_from((5, 13, 9, 16)))
-        terms = draw(st.lists(st.tuples(_element, st.integers(0, 40)), min_size=1, max_size=3))
-        h = "+".join(f"{a}*x^{k}" for a, k in terms)
-        argv = [command, f"--q={q}", f"--r={draw(_exponents)}", f"--h={h}"]
+        argv = [command, f"--q={q}", f"--r={draw(_exponents)}", f"--h={draw(_poly_text)}"]
         for flag, values in (("--gen-exp", _exponents), ("--m", _exponents), ("--ell", _ells)):
             if draw(st.booleans()):
                 argv.append(f"{flag}={draw(values)}")
     elif command == "crit":
-        theorem = draw(st.sampled_from(("l2", "l3", "2to1", "equal-d")))
-        ell = {"l2": 2, "l3": 3}.get(theorem)
-        argv = [command, f"--theorem={theorem}", *draw(_branch_argv(ell)),
+        argv = [command, f"--theorem={theorem}", *_crit_argv(draw, theorem),
                 f"--m={draw(_exponents)}"]
     else:
         argv = [command, *draw(_branch_argv())]
@@ -585,16 +703,25 @@ def _cli_argv(draw):
             argv.append("--scaled")
     if draw(st.booleans()):
         argv.insert(0, "--json")
-    return argv
+    return argv, (draw(_config()) if draw(st.integers(0, 4)) == 0 else None)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None,
+@settings(max_examples=800, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_cli_argv())
-def test_cli_ends_in_an_exit_code_for_any_drawn_input(argv):
-    code, out, err = run_cli(argv)
+def test_cli_ends_in_an_exit_code_for_any_drawn_input(drawn):
+    argv, config = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "drawn.cfg")
+            with open(path, "w") as fh:
+                fh.write(config)
+            argv = ["--config", path, *argv]
+        code, out, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 0 or (code == 2 and out):  # a result, or an inapplicable verdict
-        assert out and err == "", (argv, err)
+        # only an enumeration that finds no map prints no line
+        assert out or ("enumerate" in argv and "--json" not in argv), argv
+        assert err == "", (argv, err)
     else:
         assert out == "" and err.count("\n") == 1, (argv, err)

@@ -23,6 +23,7 @@ from cyclomap import (
     multiplicative_group,
     parse_polynomial,
     specialized_criterion,
+    subgroup_of_order,
 )
 from cyclomap.cyclotomic import RelationKind
 from cyclomap.errors import (
@@ -30,13 +31,14 @@ from cyclomap.errors import (
     HypothesisViolated,
     NotPrime,
     UnequalGcds,
+    UnsupportedContext,
     WrongIndex,
 )
 from cyclomap.gf import divisors
 from cyclomap.mto1 import (
     CRITERIA,
+    Mto1Report,
     _counted_report,
-    _multiplicities,
     branch_map_fibers,
     branch_map_valid_ms,
     cor32,
@@ -154,8 +156,8 @@ def test_oracle_matches_an_eval_recount(small_branch_maps):
         fibers = branch_map_fibers(bm)
         assert {ctx.element(e): c for e, c in fibers.items()} == recount
         assert sum(fibers.values()) == ctx.order
-        valid = _multiplicities(recount.values())[2]
-        assert branch_map_valid_ms(bm) == _multiplicities(fibers.values())[2] == valid
+        valid = Mto1Report(recount.values(), None).valid_ms
+        assert branch_map_valid_ms(bm) == Mto1Report(fibers.values(), None).valid_ms == valid
         rep = classify_branch_map(bm)
         for m in rep.valid_ms:
             want = sorted((x for x in image if recount[image[x]] != m), key=ctx.dlog)
@@ -181,8 +183,8 @@ def test_packed_oracle_at_the_byte_limit(p, n):
             maps.append((las, rs))
         for las, rs in maps:
             bm = BranchMap(dec, log_scales=las, exponents=rs)
-            recount = _multiplicities(Counter(map(bm.eval, ctx)).values())[2]
-            walk = _multiplicities(branch_map_fibers(bm).values())[2]
+            recount = Mto1Report(Counter(map(bm.eval, ctx)).values(), None).valid_ms
+            walk = Mto1Report(branch_map_fibers(bm).values(), None).valid_ms
             assert branch_map_valid_ms(bm) == walk == recount, (N, ell, las, rs)
 
 
@@ -294,6 +296,7 @@ def test_lift_evaluates_each_point_once(f13):
     v = lift_to_full_field(cube, f13, 3)
     assert v.holds  # x^3 is 3-to-1 on GF(13)*, and 3 does not divide 13
     assert sorted(calls) == list(range(f13.q)) and set(calls.values()) == {1}
+    assert not lift_to_full_field(cube, f13, 0).applicable  # was a ZeroDivisionError
 
 
 def test_lift_parity_clause(f13):
@@ -323,6 +326,22 @@ def test_lift_differential_all_small():
             for m in range(1, F.q + 1):
                 v = lift_to_full_field(bm, F, m)
                 assert v.holds == (m in full.valid_ms), (p, n, e0, e1, r0, r1, m)
+
+
+def test_lift_and_zero_fiber_refuse_other_domains(f13):
+    # the identity on the order-6 subgroup of GF(13) was lifted to a
+    # "bijective-star" verdict on GF(13), and its report with 0 -> 0 added
+    # counted a 7-point "F_q"; a map over GF(5)* answered for GF(13)
+    sub = decompose(subgroup_of_order(f13, 6), 1)
+    ident = BranchMap(sub, log_scales=(0,), exponents=(1,))
+    for bm, field in ((ident, f13), (_bm(make_field(5), 1, [(1, 1)]), f13)):
+        with pytest.raises(UnsupportedContext) as exc:
+            lift_to_full_field(bm, field, 1)
+        assert "\n" not in str(exc.value)
+    for report in (classify_branch_map, _counted_report):
+        with pytest.raises(UnsupportedContext):
+            report(ident, include_zero=True)
+    assert classify_branch_map(ident).valid_ms == {1}
 
 
 # -- criteria on known instances ----------------------------------------------------

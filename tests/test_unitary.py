@@ -16,7 +16,7 @@ from cyclomap import (
     unit_circle,
     xrh_valid_ms,
 )
-from cyclomap import unitary
+from cyclomap import Field, GroupContext, multiplicative_group, subgroup_of_order, unitary
 from cyclomap.errors import (
     ConstraintViolated,
     GcdHypothesis,
@@ -24,6 +24,7 @@ from cyclomap.errors import (
     IndexNotDividingOrder,
     RootOnUnitCircle,
 )
+from cyclomap.gf import divisors
 from cyclomap.search import SplitMix64, sample_rng
 from cyclomap.unitary import (
     FamilySpec,
@@ -79,6 +80,22 @@ def test_make_wrapped_validates_roots():
     assert eval_wrapped(ok, 0) == 0
     with pytest.raises(ConstraintViolated):
         make_wrapped(7, 1, Polynomial(F, (1,)), field=F)
+
+
+def test_make_wrapped_refuses_another_field_or_group():
+    # an order-4 subgroup of GF(25) was taken for the circle, and
+    # criterion_wrapped answered on its 4 points; the circle of GF(49)
+    # ended in an IndexError
+    F = ext_field_for(5)
+    one = Polynomial(F, (1,))
+    for unit in (subgroup_of_order(F, 4), unit_circle(ext_field_for(7), 7),
+                 multiplicative_group(make_field(7))):
+        with pytest.raises(ConstraintViolated):
+            make_wrapped(5, 1, one, field=F, unit=unit)
+    # h over another GF(25) was evaluated at this one's element codes
+    other = make_field(5, 2, modulus=[2, 0, 1])
+    with pytest.raises(ConstraintViolated):
+        make_wrapped(5, 1, one, field=other)
 
 
 def test_eval_wrapped_is_power_times_h():
@@ -202,15 +219,51 @@ def test_infer_rejects_non_monomial_table():
     q = 5
     F = ext_field_for(q)
     unit = unit_circle(F, q)
-    table = [unit.element(k) for k in range(q + 1)]  # identity map
+    logs = list(range(q + 1))  # identity map
     # break A_0: points 1, z^2, z^4 now map to 1, z^2, z^2 — the ratio
     # g(z^2*x)/g(x) is inconsistent across the coset
-    table[4] = unit.element(2)
-    g = UnitMapping(unit, table)
+    logs[4] = 2
+    g = UnitMapping(unit, logs)
     assert infer_monomial_branches(g, 2) is None
     # identity itself is monomial for every index
-    ident = UnitMapping(unit, [unit.element(k) for k in range(q + 1)])
+    ident = UnitMapping(unit, range(q + 1))
     assert infer_monomial_branches(ident, 2) is not None
+
+
+def test_infer_from_f_offsets_makes_no_field_call(monkeypatch):
+    # g's logs are read off f's offsets and its branch map is built from
+    # them: no discrete log, no exponentiation, no membership test
+    calls = Counter()
+
+    def counted(mp, cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        mp.setattr(cls, name, wrapper)
+
+    inferred = 0
+    for q in (5, 7, 8):
+        F = ext_field_for(q)
+        unit = unit_circle(F, q)
+        maps = [(3, Polynomial(F, (1,)))]
+        maps += [(r, h) for _, _, r, h in _random_rootfree(q, 7 * q, 3)]
+        for r, h in maps:
+            f_map = unitary._xrh_branch_map(F, r, h, q + 1)
+            g = reduce_to_unit(make_wrapped(q, r, h, field=F, unit=unit))
+            with monkeypatch.context() as mp:
+                counted(mp, Field, "dlog")
+                counted(mp, Field, "exp_at")
+                counted(mp, GroupContext, "contains")
+                bms = [infer_monomial_branches(unitary._unit_mapping(unit, f_map), ell)
+                       for ell in divisors(q + 1)]
+            assert not calls, (q, r, calls)
+            for bm in filter(None, bms):
+                inferred += 1
+                assert all(bm.eval(x) == g(x) for x in unit)
+    assert inferred >= 20
 
 
 def test_round_trip_branch_form_equals_g():
