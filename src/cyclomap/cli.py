@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from .cyclotomic import (
@@ -250,14 +251,15 @@ _CRIT_ARGS = {
 
 def _cmd_crit(args, registry):
     entry = CRITERIA[args.theorem]
-    if entry.branch_map:
+    if args.theorem in _CRIT_ARGS:
+        fn_args = _CRIT_ARGS[args.theorem](args, registry)
+    else:
         _require(args, "field", "ell", "branches")
         _, bm = _branch_map_from_args(args, registry)
         fn_args = (bm,)
-    else:
-        fn_args = _CRIT_ARGS[args.theorem](args, registry)
-    verdict = entry.fn(*fn_args, args.m) if entry.takes_m else entry.fn(*fn_args)
-    return _verdict_exit(args, {"theorem": args.theorem, "m": args.m}, verdict)
+    m = args.m if args.m is not None else entry.fixed_m or 2
+    verdict = entry.with_m()(*fn_args, m)
+    return _verdict_exit(args, {"theorem": args.theorem, "m": m}, verdict)
 
 
 def _wrapped_from_args(args):
@@ -354,11 +356,11 @@ def _cmd_enumerate(args, registry):
         "m": args.m,
         "maps": maps,
     }
-    _emit(args, payload, maps)
+    _emit(args, payload, maps or [f"no {args.m}-to-1 map found"])
     return 0
 
 
-def _cmd_verify(args, registry, config):
+def _cmd_verify(args, config):
     # a flag wins over its config key; what neither gives, SweepSpec fills
     def pick(name, cast=int):
         flag = getattr(args, name)
@@ -381,7 +383,7 @@ def _cmd_verify(args, registry, config):
         m_range=(pick("m_min"), pick("m_max")),
         **{name: value for name, value in scalars.items() if value is not None},
     )
-    report = differential_verify(spec, jobs=args.jobs, registry=registry)
+    report = differential_verify(spec, jobs=args.jobs, registry=config)
     if args.json:
         print(report.to_json(include_runtime=args.stats))
     else:
@@ -461,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int)
     p.add_argument("--branches")
     p.add_argument("--poly")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int, help="default: the theorem's fixed m, else 2")
     p.add_argument("--q", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--a0")
@@ -538,6 +540,7 @@ _HANDLERS = {
     "unit-classify": _cmd_unit_classify,
     "unit-family": _cmd_unit_family,
     "enumerate": _cmd_enumerate,
+    "verify": _cmd_verify,
 }
 
 
@@ -556,10 +559,8 @@ def run(argv) -> int:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
     try:
-        config = registry = parse_config(text)
-        if args.command == "verify":
-            return _cmd_verify(args, registry, config)
-        return _HANDLERS[args.command](args, registry)
+        # one dict holds the sweep keys and the field registry entries
+        return _HANDLERS[args.command](args, parse_config(text))
     except HypothesisError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2
@@ -572,7 +573,14 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ def residue_progression_relation(a: int, b: int, c: int, n: int) -> ResidueSetRe
     lcm_ab = a * b // d
     if c % d:
         return ResidueSetRelation(ProgressionKind.DISJOINT, d, None, lcm_ab, None, n)
-    a_bar = _inverse_mod(a // d, b // d)
+    a_bar = pow(a // d, -1, b // d)  # 0 when b // d == 1
     x0 = a_bar * (c // d)
     base = (a * x0) % n
     kind = (
@@ -182,16 +182,6 @@ def residue_progression_relation(a: int, b: int, c: int, n: int) -> ResidueSetRe
         else ProgressionKind.OVERLAP
     )
     return ResidueSetRelation(kind, d, x0, lcm_ab, base, n)
-
-
-def _inverse_mod(a: int, m: int) -> int:
-    """Inverse of a modulo m; 0 when m == 1."""
-    if m == 1:
-        return 0
-    g, u, _ = _ext_gcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return u % m
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +390,8 @@ class Field:
                 if x & self._mask:
                     x ^= self._mod_int
             return acc
-        da, db = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * self.n - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % self.p
-        rem = _poly_divmod(prod, list(self.modulus), self.p)
-        return self.from_coeffs(rem)
+        return self.from_coeffs(
+            _poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.p))
 
     def _pow_raw(self, a: int, e: int) -> int:
         result = 1

@@ -343,7 +343,7 @@ def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
         star_valid = _valid_ms(field.q - 1, Counter(fibers.values()))
     if zero_image != 0:
         raise HypothesisViolated("the map must fix 0")
-    if m < 1:
+    if not 1 <= m <= field.q:
         return _na("m-out-of-range")
     on_star = m in star_valid
     if m == 1:
@@ -618,12 +618,14 @@ def cor53(field, ell: int, a0: int, a1: int, r0: int, r1: int, m: int) -> Criter
     return _no("gcd(r1, l*d) != m")
 
 
-def cor54(bm: BranchMap) -> CriterionVerdict:
-    """d-to-1 (m equal to the common multiplicity) iff residues all distinct."""
+def cor54(bm: BranchMap, m: int | None = None) -> CriterionVerdict:
+    """d-to-1 (d the common multiplicity, the default m) iff residues all distinct."""
     d_set = set(bm.multiplicities)
     if len(d_set) != 1:
         raise UnequalGcds("branch multiplicities are not all equal")
     d = d_set.pop()
+    if m is not None and m != d:
+        return _na("m-out-of-range")
     ell = bm.decomp.index
     n = ell * d
     vals = [bm._offsets[i] % n for i in range(ell)]
@@ -764,11 +766,17 @@ class Criterion(NamedTuple):
     """How the CLI and the sweeps call one closed-form criterion."""
 
     fn: Callable[..., CriterionVerdict]
-    takes_m: bool = True  # called as fn(..., m)
-    fixed_m: int | None = None  # the one m that fn decides without an m argument
-    branch_map: bool = True  # fn(bm[, m]); otherwise the CLI builds its arguments
+    fixed_m: int | None = None  # the one m that fn decides; fn takes no m
     sweep: bool = False  # `verify` may hold it against the oracle
     equal_gcds: bool = False  # random sweeps draw exponents with equal gcds
+
+    def with_m(self, fn=None) -> Callable[..., CriterionVerdict]:
+        """fn (default self.fn) called as fn(*args, m).  A fixed-m theorem
+        answers m-out-of-range at any other m, without a call of fn."""
+        fn, fixed_m = fn or self.fn, self.fixed_m
+        if fixed_m is None:
+            return fn
+        return lambda *args: fn(*args[:-1]) if args[-1] == fixed_m else _na("m-out-of-range")
 
 
 # Name -> criterion, in the order `crit --theorem` and `verify --criterion`
@@ -776,19 +784,19 @@ class Criterion(NamedTuple):
 CRITERIA = {
     "l2": Criterion(criterion_l2, sweep=True),
     "l3": Criterion(criterion_l3, sweep=True),
-    "2to1": Criterion(criterion_2to1_any_l, takes_m=False, fixed_m=2, sweep=True),
+    "2to1": Criterion(criterion_2to1_any_l, fixed_m=2, sweep=True),
     "equal-d": Criterion(criterion_equal_d, sweep=True, equal_gcds=True),
-    "lift": Criterion(lift_to_full_field, branch_map=False),
-    "cor32": Criterion(cor32, takes_m=False, fixed_m=2),
-    "cor33": Criterion(cor33, takes_m=False, fixed_m=3),
-    "cor42": Criterion(cor42, takes_m=False, fixed_m=2),
-    "cor43": Criterion(cor43, takes_m=False, fixed_m=3),
-    "cor53": Criterion(cor53, branch_map=False),
-    "cor54": Criterion(cor54, takes_m=False),  # m is the common multiplicity
+    "lift": Criterion(lift_to_full_field),
+    "cor32": Criterion(cor32, fixed_m=2),
+    "cor33": Criterion(cor33, fixed_m=3),
+    "cor42": Criterion(cor42, fixed_m=2),
+    "cor43": Criterion(cor43, fixed_m=3),
+    "cor53": Criterion(cor53),
+    "cor54": Criterion(cor54),  # m defaults to the common multiplicity
     "cor55": Criterion(cor55),
-    "cor56": Criterion(cor56, branch_map=False),
-    "cor61": Criterion(cor61, branch_map=False),
-    "cor62": Criterion(cor62, branch_map=False),
+    "cor56": Criterion(cor56),
+    "cor61": Criterion(cor61),
+    "cor62": Criterion(cor62),
 }
 
 

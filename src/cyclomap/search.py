@@ -21,7 +21,7 @@ from .errors import CapExceeded, HypothesisError
 from .gf import Field
 # A sweep calls its criterion through this module's binding of the
 # function's name (criterion_l2, ...), so a wrapper installed on that
-# binding, as bench/tracer.py does, sees every call.
+# binding, as bench/tracer.py does, sees every case the criterion decides.
 from .mto1 import (
     CRITERIA,
     branch_map_valid_ms,
@@ -277,11 +277,7 @@ def _run_chunk(args, criterion_fn=None) -> MismatchReport:
     spec, lo, hi = args
     field = field_from_id(spec.field_id)
     entry = CRITERIA[spec.criterion]
-    fn = criterion_fn
-    if fn is None:
-        fn = globals()[entry.fn.__name__]
-        if not entry.takes_m:
-            fn = lambda bm, m, decide=fn: decide(bm)
+    fn = criterion_fn or entry.with_m(globals()[entry.fn.__name__])
     decomp = CosetDecomposition(multiplicative_group(field), spec.ell)
     report = MismatchReport(
         criterion=spec.criterion,

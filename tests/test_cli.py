@@ -347,6 +347,29 @@ def test_human_output_lines():
     assert "valid m" in out and "[3]" in out
 
 
+def test_enumerate_that_finds_no_map_says_so():
+    argv = ["enumerate", "--field", "13", "--ell", "2", "--m", "1", "--r-min", "2",
+            "--r-max", "2"]
+    assert run_cli(argv) == (0, "no 1-to-1 map found\n", "")
+    code, out, _ = run_cli(["--json", *argv])
+    assert code == 0 and json.loads(out)["maps"] == []
+
+
+def test_closed_stdout_ends_in_exit_1_without_a_traceback():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cyclomap.cli", "enumerate", "--field", "13",
+         "--ell", "2", "--m", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    child.stdout.close()  # before the child writes its first map
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 1
+    assert "Traceback" not in err and err.count("\n") <= 1, err
+
+
 def test_unit_classify_alternative_generator():
     for j in ("1", "2", "5"):
         code, out, _ = run_cli(
@@ -466,6 +489,38 @@ def test_crit_matches_the_library_call(theorem):
     assert code == (0 if verdict.applicable else 2), err
     payload = json.loads(out)
     assert (payload["applicable"], payload["holds"], payload["witness"]) == verdict
+
+
+def _argv_at_m(argv, m):
+    flags = dict(zip(argv[::2], argv[1::2]), **{"--m": str(m)})
+    return [token for pair in flags.items() for token in pair]
+
+
+def _field_size(argv):
+    flags = dict(zip(argv[::2], argv[1::2]))
+    if "--field" in flags:
+        return field_from_id(flags["--field"]).q
+    return int(flags["--q"]) ** int(flags["--n"])
+
+
+@pytest.mark.parametrize("theorem", list(CRIT_CASES))
+def test_crit_answers_m_out_of_range_outside_its_m(theorem):
+    argv, _ = CRIT_CASES[theorem]
+    fixed_m = CRITERIA[theorem].fixed_m
+    ms = [0, _field_size(argv) + 1, *([fixed_m + 1] if fixed_m else [])]
+    for m in ms:
+        code, out, err = run_cli(["--json", "crit", "--theorem", theorem, *_argv_at_m(argv, m)])
+        payload = json.loads(out)
+        assert (code, payload["witness"], payload["m"]) == (2, "m-out-of-range", m), err
+
+
+def test_crit_m_defaults_to_the_fixed_m_else_2():
+    base = ["--json", "crit", "--field", "13", "--ell", "2", "--branches", "1:3,g:3"]
+    for theorem, m, code in (("cor33", 3, 0), ("cor54", 2, 2), ("2to1", 2, 0)):
+        got, out, _ = run_cli([*base, "--theorem", theorem])
+        assert (got, json.loads(out)["m"]) == (code, m), theorem
+    code, out, _ = run_cli([*base, "--theorem", "cor54", "--m", "3"])
+    assert (code, json.loads(out)["witness"]) == (0, "residues injective: map is 3-to-1")
 
 
 def _choices(command, dest):
@@ -720,8 +775,7 @@ def test_cli_ends_in_an_exit_code_for_any_drawn_input(drawn):
         code, out, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 0 or (code == 2 and out):  # a result, or an inapplicable verdict
-        # only an enumeration that finds no map prints no line
-        assert out or ("enumerate" in argv and "--json" not in argv), argv
+        assert out, argv
         assert err == "", (argv, err)
     else:
         assert out == "" and err.count("\n") == 1, (argv, err)

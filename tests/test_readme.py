@@ -11,6 +11,8 @@ import shlex
 import pytest
 
 from cyclomap import cli
+from cyclomap.mto1 import CRITERIA
+from cyclomap.unitary import _FAMILY_IDS
 
 README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
 
@@ -42,3 +44,14 @@ def test_readme_cli_line_exits_0(line):
     assert out.getvalue(), line
     if "--json" in argv:
         json.loads(out.getvalue())  # one JSON document and nothing after it
+
+
+def _listed(flag):
+    """The names README lists in backticks after `<flag>` accepts."""
+    (names,) = re.findall(rf"`{flag}` accepts `([^`]*)`", README)
+    return names.split()
+
+
+def test_readme_lists_every_crit_theorem_and_family():
+    assert _listed("crit --theorem") == list(CRITERIA)
+    assert _listed("unit-family --family") == list(_FAMILY_IDS)

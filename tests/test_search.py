@@ -50,6 +50,21 @@ def test_exhaustive_sweep_zero_mismatches_small():
     assert report.mismatches == []
 
 
+@pytest.mark.parametrize("spec", [
+    SweepSpec(criterion="2to1", field_id="7", ell=2, r_range=(None, None), m_range=(1, 3)),
+    SweepSpec(criterion="2to1", field_id="13", ell=4, r_range=(None, None), m_range=(1, 3),
+              mode="random", samples=300, seed=1),
+])
+def test_fixed_m_sweep_decides_only_its_m(spec):
+    # 2to1's verdict once stood for every m of the window, so m = 1 and
+    # m = 3 cases read as mismatches
+    report = differential_verify(spec)
+    assert report.mismatches == []
+    assert 0 < report.applicable_cases < report.total_cases
+    if spec.mode == "exhaustive":
+        assert report.applicable_cases * 3 == report.total_cases
+
+
 def test_random_sweep_deterministic_json():
     spec = SweepSpec(
         criterion="l3", field_id="13", ell=3, r_range=(1, 12),
