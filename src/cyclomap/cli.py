@@ -334,9 +334,7 @@ def _cmd_unit_family(args, registry):
     ]
     if args.check:
         oracle = classify_wrapped(result.wrapped).valid_ms
-        window = {m for m in oracle if 1 <= m <= args.q + 1}
-        if fam.startswith(("B", "T")):
-            window = set(oracle)
+        window = set(oracle)
         payload["oracle_m"] = sorted(window)
         payload["match"] = set(result.predicted_ms) == window
         lines.append(f"oracle m:    {sorted(window)} (match={payload['match']})")

@@ -4,23 +4,24 @@ A mapping f on a finite set A of size k*m + r (0 <= r < m) is m-to-1 when
 exactly k image points have exactly m preimages; the r leftover domain
 points form the exceptional set.  `classify_pairs`, `classify_callable`,
 `classify_polynomial` and `branch_map_valid_ms` count preimages directly
-(the oracle).  `branch_map_valid_ms`, the oracle of every sweep, counts
-each image of a group of order at most 255 as one byte of a packed int
-(sums of shifted per-step counts), and walks coset progressions
-(`branch_map_fibers`, from `_coset_walks`) above that; every report is
-filled from one fiber-size histogram.  `classify_branch_map` is exact from
-residue classes in O(L), L = index * lcm of the branch multiplicities,
-and counts no point; it is differentially tested against the counting
-report, which `classify_wrapped` keeps using.  The `criterion_*`
-functions decide the same question from branch data alone and are
-differentially verified against the oracle.
+(the oracle).  A branch map's points are counted in one place,
+`_fiber_sizes`, into a table of fiber sizes by image exponent: one byte
+each for a group of order at most 255 (sums of shifted per-step counts in
+a packed int), a list above that.  `branch_map_valid_ms`, the oracle of
+every sweep, and `_counted_report`, the counting report, both read that
+table; every report is filled from one fiber-size histogram.
+`classify_branch_map` is exact from residue classes in O(L), L = index *
+lcm of the branch multiplicities, and counts no point; it is
+differentially tested against the counting report, which
+`classify_wrapped` keeps using.  The `criterion_*` functions decide the
+same question from branch data alone and are differentially verified
+against the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
 from typing import Callable, NamedTuple
 
 from .cyclotomic import BranchMap, CosetDecomposition, Polynomial, multiplicative_group
@@ -111,27 +112,7 @@ def classify_callable(fn: Callable[[int], int], domain, order_key=None) -> Mto1R
     return classify_pairs(((x, fn(x)) for x in domain), order_key)
 
 
-def _coset_walks(bm: BranchMap) -> list[range]:
-    """Per coset, its image exponents unreduced mod N: coset i holds the
-    k = i + t*ell, t < s, and branch i sends them to i*r_i + log a_i + t*ell*r_i."""
-    N = bm.decomp.ctx.order
-    ell = bm.decomp.index
-    s = bm.decomp.coset_size
-    walks = []
-    for r, start in zip(bm.exponents, bm._offsets):
-        step = ell * r % N or N  # r = 0 (mod N): all s points land on start
-        walks.append(range(start, start + s * step, step))
-    return walks
-
-
-def branch_map_fibers(bm: BranchMap) -> Counter:
-    """Image-exponent -> preimage-count over the whole group, each point of
-    each coset walk counted; `_counted_report` and the large-group fallback
-    of `branch_map_valid_ms` read it."""
-    return Counter(map(bm.decomp.ctx.order.__rmod__, chain.from_iterable(_coset_walks(bm))))
-
-
-# The packed oracle holds one fiber size per byte, so it serves groups
+# The packed count holds one fiber size per byte, so it serves groups
 # whose largest possible fiber, the whole group, fits in a byte.
 _PACKED_MAX_ORDER = 255
 # (N, ell) -> packed step counts, indexed by r mod s (s = N // ell): byte e
@@ -152,22 +133,25 @@ def _step_counts(N: int, ell: int) -> tuple[int, ...]:
     return table
 
 
-def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:
-    """Admissible m set over the group by counting every point; the oracle
-    of every sweep.
+def _fiber_sizes(bm: BranchMap) -> bytes | list[int]:
+    """sizes[e] = how many group points bm sends to exponent e, for e < N;
+    the only code that counts a branch map's points.
 
     Coset i sends its s points to start + t*step (mod N), t < s, with
     start = i*r_i + log a_i and step = ell*r_i mod N.  For N <= 255 the
     images of one step are counted once, one byte per image exponent, in
     a packed int; a map's fiber sizes are the sum over its cosets of that
     int shifted by start mod N bytes, with the bytes past N folded back
-    once.  No fiber exceeds N, so no byte carries.  Larger groups walk
-    `branch_map_fibers`.
+    once.  No fiber exceeds N, so no byte carries.  Larger groups count
+    `bm.eval_exp` at every point into a list.
     """
     decomp = bm.decomp
     N = decomp.ctx.order
     if N > _PACKED_MAX_ORDER:
-        return _valid_ms(N, Counter(branch_map_fibers(bm).values()))
+        sizes = [0] * N
+        for e in map(bm.eval_exp, range(N)):
+            sizes[e] += 1
+        return sizes
     ell = decomp.index
     steps = _STEP_COUNTS.get((N, ell)) or _step_counts(N, ell)
     s = decomp.coset_size
@@ -176,7 +160,14 @@ def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:
         total += steps[r % s] << 8 * (start % N)
     width = 8 * N
     total = (total & ((1 << width) - 1)) + (total >> width)
-    sizes = total.to_bytes(N, "little")
+    return total.to_bytes(N, "little")
+
+
+def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:
+    """Admissible m set over the group from `_fiber_sizes`, which counts
+    every point; the oracle of every sweep."""
+    N = bm.decomp.ctx.order
+    sizes = _fiber_sizes(bm)
     count = sizes.count
     return frozenset([m for m in set(sizes) if m and count(m) == N // m])
 
@@ -247,25 +238,16 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
 
 
 def _counted_report(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
-    """`classify_branch_map` by counting every point: the oracle's report,
-    for the paths that compare against brute force."""
-    fibers = branch_map_fibers(bm)
+    """`classify_branch_map` from `_fiber_sizes`, which counts every point:
+    the oracle's report, for the paths that compare against brute force."""
+    sizes = _fiber_sizes(bm)
     ctx = bm.decomp.ctx
 
     def exceptional(m: int) -> tuple[int, ...]:
-        # Point t of coset i, k = i + t*ell, maps to step t of its coset
-        # walk.  Only exponents whose fiber size differs from m are looked
-        # for, and only their preimages become elements.
-        odd = {e for e, c in fibers.items() if c != m}
-        ks = []
-        if odd:
-            N, ell = ctx.order, bm.decomp.index
-            for i, walk in enumerate(_coset_walks(bm)):
-                ks.extend(i + t * ell for t, e in enumerate(walk) if e % N in odd)
-            ks.sort()
-        return tuple(ctx.element(k) for k in ks)
+        images = map(bm.eval_exp, range(ctx.order))
+        return tuple([ctx.element(k) for k, e in enumerate(images) if sizes[e] != m])
 
-    report = Mto1Report(fibers.values(), exceptional)
+    report = Mto1Report(filter(None, sizes), exceptional)
     return _zero_extended(report, ctx) if include_zero else report
 
 
@@ -332,15 +314,15 @@ def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
         evaluate = fn.eval if isinstance(fn, Polynomial) else fn
         field._load_tables()  # evaluates at every point
         zero_image = evaluate(0)
-        fibers = Counter()
+        pairs = []
         for x in range(1, field.q):
             y = evaluate(x)
             if y == 0:
                 raise HypothesisViolated(
                     f"nonzero root {x}: the map must vanish only at 0"
                 )
-            fibers[y] += 1
-        star_valid = _valid_ms(field.q - 1, Counter(fibers.values()))
+            pairs.append((x, y))
+        star_valid = classify_pairs(pairs).valid_ms
     if zero_image != 0:
         raise HypothesisViolated("the map must fix 0")
     if not 1 <= m <= field.q:
@@ -801,8 +783,17 @@ CRITERIA = {
 
 
 def specialized_criterion(variant: str, *args, **kwargs) -> CriterionVerdict:
-    """Dispatch to one of the corollaries cor32 ... cor62, named in any case."""
+    """Dispatch to one of the corollaries cor32 ... cor62, named in any case.
+
+    A fixed-m corollary (cor32, cor33, cor42, cor43) given an m after the
+    map, positionally or as m=, is called through `Criterion.with_m`, so
+    it answers m-out-of-range at any other m.
+    """
     name = variant.lower()
     if not name.startswith("cor") or name not in CRITERIA:
         raise ValueError(f"unknown criterion variant {variant!r}")
-    return CRITERIA[name].fn(*args, **kwargs)
+    criterion = CRITERIA[name]
+    if criterion.fixed_m is None or ("m" not in kwargs and len(args) < 2):
+        return criterion.fn(*args, **kwargs)
+    *args, m = (*args, kwargs.pop("m")) if "m" in kwargs else args
+    return criterion.with_m(lambda: criterion.fn(*args, **kwargs))(m)

@@ -333,6 +333,8 @@ def enumerate_mto1(field: Field, ell: int, m: int, a_exp_range=None,
         raise ValueError(f"m={m} must be at least 1")
     if m > field.q - 1:
         raise ValueError(f"m={m} exceeds the group order {field.q - 1}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit={limit} must be at least 0")
     a_window = _span(_fill("a", a_exp_range, (0, field.q - 2)))
     r_window = _span(_fill("r", r_range, (1, field.q - 1)))
     decomp = CosetDecomposition(multiplicative_group(field), ell)

@@ -134,6 +134,7 @@ def test_exit_codes():
     ["classify", "--field", "5", "--poly", "(" * 3000 + "x" + ")" * 3000],
     ["field-info", "--field", "13", "--generator", "[2"],
     ["enumerate", "--field", "13", "--ell", "3", "--m", "13"],
+    ["enumerate", "--field", "13", "--ell", "2", "--m", "2", "--limit", "-1"],
     ["verify", "--criterion", "l2", "--field", "13", "--ell", "3",
      "--r-min", "5", "--r-max", "2"],
     ["verify", "--criterion", "l2", "--field", "13", "--ell", "2",
@@ -245,7 +246,7 @@ def test_cyc_classify_on_large_fields_counts_no_point_and_builds_no_table(
         raise AssertionError("cyc-classify counted points or built tables")
 
     monkeypatch.setattr(gf, "_FIELD_CACHE", {})
-    monkeypatch.setattr(mto1, "branch_map_fibers", refuse)
+    monkeypatch.setattr(mto1, "_fiber_sizes", refuse)
     monkeypatch.setattr(gf.Field, "_build_tables", refuse)
     digests = json.loads(LARGE_Q_REFERENCE.read_text())["stdout_sha256"]
     commands = [key.split() for key in digests

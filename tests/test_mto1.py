@@ -10,6 +10,7 @@ import pytest
 
 from cyclomap import (
     BranchMap,
+    Polynomial,
     classify_branch_map,
     classify_callable,
     classify_polynomial,
@@ -39,7 +40,7 @@ from cyclomap.mto1 import (
     CRITERIA,
     Mto1Report,
     _counted_report,
-    branch_map_fibers,
+    _fiber_sizes,
     branch_map_valid_ms,
     cor32,
     cor33,
@@ -145,7 +146,7 @@ def test_exceptional_sets_match_element_recount(f13, f17, f25, f64):
 
 
 def test_oracle_matches_an_eval_recount(small_branch_maps):
-    # the coset-progression count and the packed sweep oracle against one
+    # the fiber table and the sweep oracle that reads it against one
     # bm.eval per point, exceptional sets included, on log-form maps over
     # F_q* and the unit circle; F_7* and the circle share the order-6 tables
     for dec, las, rs in small_branch_maps:
@@ -153,11 +154,12 @@ def test_oracle_matches_an_eval_recount(small_branch_maps):
         bm = BranchMap(dec, log_scales=las, exponents=rs)
         image = {x: bm.eval(x) for x in ctx}
         recount = Counter(image.values())
-        fibers = branch_map_fibers(bm)
-        assert {ctx.element(e): c for e, c in fibers.items()} == recount
-        assert sum(fibers.values()) == ctx.order
+        sizes = _fiber_sizes(bm)
+        assert len(sizes) == ctx.order
+        assert {ctx.element(e): c for e, c in enumerate(sizes) if c} == recount
+        assert sum(sizes) == ctx.order
         valid = Mto1Report(recount.values(), None).valid_ms
-        assert branch_map_valid_ms(bm) == Mto1Report(fibers.values(), None).valid_ms == valid
+        assert branch_map_valid_ms(bm) == Mto1Report(filter(None, sizes), None).valid_ms == valid
         rep = classify_branch_map(bm)
         for m in rep.valid_ms:
             want = sorted((x for x in image if recount[image[x]] != m), key=ctx.dlog)
@@ -167,7 +169,7 @@ def test_oracle_matches_an_eval_recount(small_branch_maps):
 @pytest.mark.parametrize("p, n", [(2, 8), (257, 1)])
 def test_packed_oracle_at_the_byte_limit(p, n):
     # N = 255 is the largest group packed one byte per fiber size; there
-    # ell = 1 and r = 0 fill one byte with 255.  N = 256 walks the cosets,
+    # ell = 1 and r = 0 fill one byte with 255.  N = 256 counts into a list,
     # and its constant maps have a fiber of 256 points, which no byte holds.
     ctx = multiplicative_group(make_field(p, n))
     N = ctx.order
@@ -183,9 +185,12 @@ def test_packed_oracle_at_the_byte_limit(p, n):
             maps.append((las, rs))
         for las, rs in maps:
             bm = BranchMap(dec, log_scales=las, exponents=rs)
-            recount = Mto1Report(Counter(map(bm.eval, ctx)).values(), None).valid_ms
-            walk = Mto1Report(branch_map_fibers(bm).values(), None).valid_ms
-            assert branch_map_valid_ms(bm) == walk == recount, (N, ell, las, rs)
+            recount = Counter(map(bm.eval, ctx))
+            sizes = _fiber_sizes(bm)
+            assert isinstance(sizes, bytes) == (N <= 255)
+            assert {ctx.element(e): c for e, c in enumerate(sizes) if c} == recount
+            valid = Mto1Report(recount.values(), None).valid_ms
+            assert branch_map_valid_ms(bm) == valid, (N, ell, las, rs)
 
 
 def _assert_residue_report_is_the_count(bm) -> int:
@@ -263,6 +268,43 @@ def test_residue_classifier_matches_the_count_on_random_maps():
                 zero_exponents += any(r % N == 0 for r in rs)
                 full_period += ell * math.lcm(*bm.multiplicities) == N
     assert zero_exponents >= 2500 and full_period >= 2500 and nonempty >= 500
+
+
+@pytest.mark.parametrize("p, n", [(257, 1), (2, 9)])
+def test_residue_classifier_matches_the_count_past_the_byte_limit(p, n):
+    # groups of order 256 and 511, whose fiber tables are lists
+    F = make_field(p, n)
+    N = F.q - 1
+    rng = SplitMix64(N)
+    nonempty = 0
+    for ell in divisors(N):
+        dec = decompose(multiplicative_group(F), ell)
+        for _ in range(4):
+            las = [rng.randrange(N) for _ in range(ell)]
+            rs = [N * rng.randrange(2) if rng.randrange(5) == 0
+                  else rng.randrange(3 * N + 1) for _ in range(ell)]
+            bm = BranchMap(dec, log_scales=las, exponents=rs)
+            nonempty += _assert_residue_report_is_the_count(bm)
+    assert nonempty
+
+
+def test_each_counting_report_counts_the_points_once(monkeypatch, f13):
+    # _fiber_sizes is the one count behind the sweep oracle, the counting
+    # report and classify_wrapped, each of which calls it once
+    from cyclomap import mto1, unitary
+
+    calls = []
+    count = mto1._fiber_sizes
+    monkeypatch.setattr(mto1, "_fiber_sizes", lambda bm: calls.append(bm) or count(bm))
+    bm = _bm(f13, 2, [(1, 2), (12, 4)])
+    assert branch_map_valid_ms(bm) == {2} and len(calls) == 1
+    report = _counted_report(bm, include_zero=True)
+    assert report.valid_ms == {2} and report.exceptional_of(2) == (0,)
+    assert len(calls) == 2
+    F = unitary.ext_field_for(5)
+    wm = unitary.make_wrapped(5, 1, Polynomial(F, (1,)), field=F)
+    assert unitary.classify_wrapped(wm).valid_ms == {1}
+    assert len(calls) == 3
 
 
 def test_branch_map_fast_path_matches_generic(f13):
@@ -653,6 +695,19 @@ def test_specialized_dispatch(f13):
     assert specialized_criterion("cor32", bm).holds
     with pytest.raises(ValueError):
         specialized_criterion("COR99", bm)
+
+
+def test_specialized_dispatch_asks_a_fixed_m_corollary_about_an_m(f13):
+    # cor33 answered an m after the map with a TypeError
+    bm = _bm(f13, 2, [(1, 3), (f13.exp_at(1), 3)])  # 1:3,g:3
+    for call in (lambda m: specialized_criterion("cor33", bm, m),
+                 lambda m: specialized_criterion("cor33", bm, m=m),
+                 lambda m: specialized_criterion("cor33", bm=bm, m=m)):
+        assert call(5) == (False, None, "m-out-of-range")
+        assert call(3) == cor33(bm) == specialized_criterion("cor33", bm)
+    assert cor33(bm).holds
+    assert specialized_criterion("cor32", bm, 3).witness == "m-out-of-range"
+    assert specialized_criterion("cor32", bm, 2) == cor32(bm)
 
 
 def test_specialized_dispatch_takes_the_ten_corollaries_only(f13):

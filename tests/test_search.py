@@ -362,6 +362,17 @@ def test_enumerate_rejects_m_above_the_group_order(f13, monkeypatch):
     assert built == []
 
 
+def test_enumerate_rejects_a_negative_limit(f13, monkeypatch):
+    # limit=-1 used to end the stream at once, as if no map were m-to-1
+    from cyclomap import search
+
+    built = []
+    monkeypatch.setattr(search, "BranchMap", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="limit=-1 must be at least 0"):
+        next(enumerate_mto1(f13, 2, 2, limit=-1))
+    assert built == [] and list(enumerate_mto1(f13, 2, 2, limit=0)) == []
+
+
 def test_enumerate_f17_2to1_all_pass_criterion():
     from cyclomap import criterion_2to1_any_l
 

@@ -149,6 +149,27 @@ def test_classify_wrapped_matches_direct_evaluation():
             _check_against_recount(make_wrapped(q, r, h, field=F, unit=unit))
 
 
+@pytest.mark.parametrize("q", [16, 17])
+def test_classify_wrapped_matches_direct_evaluation_at_the_byte_limit(q):
+    # q^2 - 1 = 255 is the largest group whose fiber table is packed bytes;
+    # 288 is counted into a list.  Random h leave no valid m here, so maps
+    # with y*h(y) = c + y^k + y^-k on the circle (k = 1 for q = 16, 2 for
+    # q = 17) add valid m with a nonempty exceptional set: x^(q-1) sends
+    # q-1 points to each y, and y^k + y^-k pairs y with 1/y and, for
+    # q = 17, with -y and -1/y, leaving y = 1 (and -1) apart.
+    for F, unit, r, h in _random_rootfree(q, 4243, 6):
+        _check_against_recount(make_wrapped(q, r, h, field=F, unit=unit))
+    F = ext_field_for(q)
+    unit = unit_circle(F, q)
+    uneven = 0
+    for c in range(2, 10):
+        terms = {16: c, 0: 1, 15: 1} if q == 16 else {17: c, 1: 1, 15: 1}
+        h = Polynomial.from_terms(F, terms)
+        if all(h.eval(x) for x in unit):
+            uneven += _check_against_recount(make_wrapped(q, q - 1, h, field=F, unit=unit))
+    assert uneven >= 5
+
+
 def test_classify_wrapped_exceptional_sets_small_q():
     # every h = 1 + c1*x + c2*x^2 that is root-free on the circle, every r
     for q in (3, 4):
