@@ -395,7 +395,7 @@ class BranchMap:
         return (k * self.exponents[i] + self.log_scales[i]) % self.decomp.ctx.order
 
     def image_residue(self, i: int, n: int) -> int:
-        """(i*r_i + log of the branch constant) mod n; drives every criterion."""
+        """Branch i's offset i*r_i + log a_i (as the criteria read it) mod n."""
         return self._offsets[i] % n
 
     def target_coset(self, i: int) -> int:

@@ -324,8 +324,8 @@ class Field:
 
     def _check_generator_order(self):
         g = self.generator
-        if g == 0:
-            raise NotPrimitive("generator must be nonzero")
+        if not 0 < g < self.q:
+            raise NotPrimitive(f"generator {g} is not a nonzero field element")
         order = self.q - 1
         if self._pow_raw(g, order) != 1:
             raise NotPrimitive("generator order does not divide q-1")

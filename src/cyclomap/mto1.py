@@ -252,7 +252,8 @@ def _counted_report(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
 
 
 def classify_polynomial(poly: Polynomial, domain: str | tuple = "fqstar") -> Mto1Report:
-    """Oracle classification of a polynomial over F_q, F_q*, or an explicit set."""
+    """Oracle classification of a polynomial over F_q, F_q*, or an explicit
+    set (an element listed twice is counted once)."""
     F = poly.field
     F._load_tables()  # evaluates at every domain point
     if domain == "fq":
@@ -260,7 +261,7 @@ def classify_polynomial(poly: Polynomial, domain: str | tuple = "fqstar") -> Mto
     elif domain == "fqstar":
         dom = range(1, F.q)
     else:
-        dom = tuple(domain)
+        dom = tuple(dict.fromkeys(domain))
         for x in dom:
             if not F.contains(x):
                 raise DomainElementOutsideField(f"{x} is not in {F!r}")
@@ -300,9 +301,9 @@ def _na(witness: str) -> CriterionVerdict:
 def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
     """m-to-1 on F_q from m-to-1 on F_q*, for maps whose only root is 0.
 
-    fn: BranchMap (over all of F_q*, else UnsupportedContext), Polynomial,
-    or callable on codes, evaluated once per point of F_q.  Raises
-    HypothesisViolated when f(0) != 0 or some nonzero root exists.
+    fn: BranchMap over all of F_q* or Polynomial over field (else
+    UnsupportedContext), or callable on codes, evaluated once per point of
+    F_q.  Raises HypothesisViolated when f(0) != 0 or some nonzero root exists.
     """
     if isinstance(fn, BranchMap):
         if not fn.decomp.ctx.is_full or fn.decomp.ctx.field.q != field.q:
@@ -310,6 +311,8 @@ def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
                 f"lifting to GF({field.q}) needs a branch map on all of GF({field.q})*")
         zero_image = 0  # branch constants are nonzero, so no root but 0
         star_valid = branch_map_valid_ms(fn)
+    elif isinstance(fn, Polynomial) and fn.field is not field:
+        raise UnsupportedContext(f"lifting to GF({field.q}) needs a polynomial over that field")
     else:
         evaluate = fn.eval if isinstance(fn, Polynomial) else fn
         field._load_tables()  # evaluates at every point

@@ -7,9 +7,10 @@ generator's logs.  x^r h(x^s), s = (q-1)/l, is the index-l branch map
 (h(zeta^i), r), zeta = g^s: `criterion_equal_d` decides its subgroup
 reduction, and the oracle classifies f as that map at l = q+1.  That one
 map, built by `_xrh_branch_map`, fixes g too: with zeta0 = g^(q-1) and
-off_j = j*r + log h(zeta0^j), g(zeta0^j) = zeta0^(off_j).  So g is kept
-as its unit-circle logs (`UnitMapping`), read off f's offsets, and its
-branches are inferred from those logs without a field operation.  Named
+off_j = j*r + log h(zeta0^j), g(zeta0^j) = zeta0^(off_j).  So g is itself
+a branch map on U with one point per coset, its logs read off f's offsets:
+the oracle counts it like any other branch map, and its branches are
+inferred from those logs without a field operation.  Named
 binomial/trinomial families with closed-form predictions live here too.
 """
 
@@ -38,7 +39,6 @@ from .gf import Field, make_field, split_prime_power
 from .mto1 import (
     CriterionVerdict,
     _counted_report,
-    classify_pairs,
     criterion_equal_d,
     criterion_l2,
     _na,
@@ -93,58 +93,47 @@ def eval_wrapped(wm: WrappedMap, x: int) -> int:
     return wm.eval(x)
 
 
-class UnitMapping:
-    """g(x) = x^r * h(x)^(q-1) on the unit circle, as logs to its generator:
-    g(generator**k) = generator**logs[k]."""
-
-    __slots__ = ("unit", "logs")
-
-    def __init__(self, unit: GroupContext, logs):
-        self.unit = unit
-        self.logs = tuple([k % unit.order for k in logs])
-
-    def __call__(self, x: int) -> int:
-        return self.unit.element(self.logs[self.unit.dlog(x)])
-
-
-def reduce_to_unit(wm: WrappedMap) -> UnitMapping:
+def reduce_to_unit(wm: WrappedMap) -> BranchMap:
     """g read from f's index-(q+1) branch map: g(zeta0^j) = zeta0^(off_j)."""
     return _unit_mapping(wm.unit, _xrh_branch_map(wm.field, wm.r, wm.h, wm.base_q + 1))
 
 
-def _unit_mapping(unit: GroupContext, f_map: BranchMap) -> UnitMapping:
+def _unit_mapping(unit: GroupContext, f_map: BranchMap) -> BranchMap:
+    """g as the circle's branch map with one point per coset and exponent 0."""
     # zeta0 = g^index and the generator is zeta0^e, so g(generator^k) =
     # zeta0^(off_(e*k)) = generator^(off_(e*k) * e^-1)
     n, e, e_inv = unit.order, unit._gen_log // unit.index, unit._log_factor
-    return UnitMapping(unit, [f_map.image_residue(e * k % n, n) * e_inv for k in range(n)])
+    logs = [f_map.image_residue(e * k % n, n) * e_inv for k in range(n)]
+    return BranchMap(CosetDecomposition(unit, n), log_scales=logs, exponents=[0] * n)
 
 
-def infer_monomial_branches(g: UnitMapping, ell: int) -> BranchMap | None:
+def infer_monomial_branches(g: BranchMap, ell: int) -> BranchMap | None:
     """Recover scales/exponents with g = scale_i * x^(e_i) on each coset, or None.
 
-    On coset i, logs[k] = log scale_i + k*e_i (mod N): ell*e_i is
-    logs[i + ell] - logs[i], the scale's log is fixed from logs[i], and
-    every coset point is then checked.  The map is built from these logs.
+    With logs[k] = g.eval_exp(k), on coset i logs[k] = log scale_i + k*e_i
+    (mod N): ell*e_i is logs[i + ell] - logs[i], the scale's log is fixed
+    from logs[i], and every coset point is then checked.  The map is built
+    from these logs.
     """
-    unit = g.unit
-    N = unit.order
+    ctx = g.decomp.ctx
+    N = ctx.order
     if ell < 1 or N % ell:
         raise IndexNotDividingOrder(f"{ell} does not divide {N}")
     t = N // ell
-    logs = g.logs
+    logs = [g.eval_exp(k) for k in range(N)]
     lam_logs, exponents = [], []
     for i in range(ell):
-        ratio = (logs[(ell + i) % N] - logs[i]) % N if t > 1 else 0
+        ratio = (logs[(ell + i) % N] - logs[i]) % N
         if ratio % ell:
             return None
-        e_i = (ratio // ell) % t if t > 1 else 0
+        e_i = (ratio // ell) % t
         lam_log = (logs[i] - i * e_i) % N
         for k in range(i, N, ell):
             if logs[k] != (lam_log + k * e_i) % N:
                 return None
         lam_logs.append(lam_log)
         exponents.append(e_i)
-    return BranchMap(CosetDecomposition(unit, ell), log_scales=lam_logs, exponents=exponents)
+    return BranchMap(CosetDecomposition(ctx, ell), log_scales=lam_logs, exponents=exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +150,9 @@ def classify_wrapped(wm: WrappedMap):
     return _counted_report(_xrh_branch_map(wm.field, wm.r, wm.h, wm.base_q + 1))
 
 
-def classify_unit_mapping(g: UnitMapping):
-    """Oracle classification of g on the unit circle; images are compared as logs."""
-    return classify_pairs(zip(g.unit, g.logs), order_key=g.unit.dlog)
+def classify_unit_mapping(g: BranchMap):
+    """Oracle classification of g on the unit circle, by counting its points."""
+    return _counted_report(g)
 
 
 def _wrap_bound_ok(q: int, m: int) -> bool:
@@ -199,7 +188,7 @@ def criterion_wrapped(wm: WrappedMap, m: int, ell: int | None = None) -> Criteri
             elif len(set(bm.multiplicities)) == 1:
                 inner = criterion_equal_d(bm, m)
                 path = "equal-multiplicity"
-            if inner is not None and inner.applicable:
+            if inner is not None:  # both answer every 1 <= m <= q+1
                 if not wrap_ok:
                     return _no(f"unit {path}: wrapping bound fails")
                 return CriterionVerdict(True, inner.holds, f"unit {path}: {inner.witness}")

@@ -133,6 +133,9 @@ def test_exit_codes():
     ["enumerate", "--field", "13", "--ell", "2", "--m", "0"],
     ["classify", "--field", "5", "--poly", "(" * 3000 + "x" + ")" * 3000],
     ["field-info", "--field", "13", "--generator", "[2"],
+    ["field-info", "--field", "13", "--generator", "[2,1]"],
+    ["field-info", "--field", "5^2", "--generator", "31"],
+    ["field-info", "--field", "5^2", "--generator", "-1"],
     ["enumerate", "--field", "13", "--ell", "3", "--m", "13"],
     ["enumerate", "--field", "13", "--ell", "2", "--m", "2", "--limit", "-1"],
     ["verify", "--criterion", "l2", "--field", "13", "--ell", "3",
@@ -149,9 +152,10 @@ def test_exit_codes():
 ])
 def test_incomplete_or_out_of_range_input_is_a_usage_error(argv):
     # each of these once escaped as a traceback (or, for m=0, scanned the
-    # whole space for nothing; an unclosed generator list failed in int();
-    # an empty window failed inside islice or silently swept nothing; a
-    # random sweep of no samples reported "cases: 0")
+    # whole space for nothing; an unclosed generator list failed in int(),
+    # and a generator outside the field was kept and printed; an empty
+    # window failed inside islice or silently swept nothing; a random sweep
+    # of no samples reported "cases: 0")
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -621,8 +625,8 @@ _MODULI = {"5": "2,1", "13": "0,1", "3^2": "2,1,1", "2^4": "1,0,0,1,1"}
 _GENERATORS = {"5": "3", "13": "6", "3^2": "[1,1]", "2^4": "[0,0,1,1]"}
 _coeffs = st.lists(st.integers(0, 6), min_size=1, max_size=5).map(
     lambda cs: ",".join(map(str, cs)))
-_generator = st.one_of(st.integers(0, 20).map(str), st.tuples(
-    st.integers(0, 3), st.integers(0, 3)).map(lambda c: f"[{c[0]},{c[1]}]"))
+_generator = st.one_of(st.integers(-2, 40).map(str), st.lists(
+    st.integers(0, 3), min_size=1, max_size=3).map(lambda cs: f"[{','.join(map(str, cs))}]"))
 
 
 def _modulus_of(field_id):

@@ -47,6 +47,16 @@ def test_construction_rejects_bad_input():
         make_field(13, generator=3)  # order 3
 
 
+def test_generator_must_be_a_nonzero_field_element():
+    # [2, 1] over GF(13) was kept as code 15, and 31 over GF(5^2) as code
+    # 31: neither is a field element, and the generator's dlog raised IndexError
+    for p, n, gen in ((13, 1, [2, 1]), (5, 2, 31), (5, 2, -1), (5, 2, 25), (5, 2, [1, 1, 1]),
+                      (13, 1, 0), (13, 1, [0])):
+        with pytest.raises(NotPrimitive, match=r"^generator -?\d+ is not a nonzero field element$"):
+            make_field(p, n, generator=gen)
+    assert make_field(13, generator=15).generator == 2  # an int is reduced mod p
+
+
 def test_arith_examples(f13):
     assert f13.pow(2, 6) == 12
     assert f13.inv(2) == 7

@@ -94,6 +94,17 @@ def test_classify_explicit_domain(f13):
         classify_polynomial(poly, (1, 99))
 
 
+def test_explicit_domain_is_a_set(f5):
+    # (1, 1, 2, 3) was counted as four points, with histogram {2: 2}
+    poly = parse_polynomial("x^2", f5)
+    rep = classify_polynomial(poly, (1, 1, 2, 3))
+    ref = classify_polynomial(poly, (3, 2, 1))
+    assert rep.domain_size == ref.domain_size == 3
+    assert rep.histogram == ref.histogram == {1: 1, 2: 1}
+    assert rep.valid_ms == ref.valid_ms == {2}
+    assert rep.exceptional_of(2) == ref.exceptional_of(2) == (1,)
+
+
 def test_histogram_identity_random_maps(f13, f17):
     rng = SplitMix64(8)
     for F in (f13, f17):
@@ -384,6 +395,20 @@ def test_lift_and_zero_fiber_refuse_other_domains(f13):
         with pytest.raises(UnsupportedContext):
             report(ident, include_zero=True)
     assert classify_branch_map(ident).valid_ms == {1}
+
+
+def test_lift_refuses_a_polynomial_over_another_field(f13):
+    # x^2 over GF(13) lifted to GF(7) answered about codes 0..6 of GF(13),
+    # and x^3 over GF(7) lifted to GF(13) ended in an IndexError
+    f7 = make_field(7)
+    f25, other25 = make_field(5, 2), make_field(5, 2, modulus=[2, 0, 1])
+    for poly, field in ((parse_polynomial("x^2", f13), f7), (parse_polynomial("x^3", f7), f13),
+                        (parse_polynomial("x^5", other25), f25)):
+        for m in (1, 2, 3):
+            with pytest.raises(UnsupportedContext,
+                               match=rf"^lifting to GF\({field.q}\) needs a polynomial over that field$"):
+                lift_to_full_field(poly, field, m)
+    assert lift_to_full_field(parse_polynomial("x^3", f13), f13, 3).holds
 
 
 # -- criteria on known instances ----------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from cyclomap import (
     Polynomial,
+    classify_unit_mapping,
     classify_wrapped,
     criterion_wrapped,
     criterion_xrh,
@@ -16,7 +17,8 @@ from cyclomap import (
     unit_circle,
     xrh_valid_ms,
 )
-from cyclomap import Field, GroupContext, multiplicative_group, subgroup_of_order, unitary
+from cyclomap import BranchMap, CosetDecomposition, Field, GroupContext, mto1, unitary
+from cyclomap import multiplicative_group, subgroup_of_order
 from cyclomap.errors import (
     ConstraintViolated,
     GcdHypothesis,
@@ -28,7 +30,6 @@ from cyclomap.gf import divisors
 from cyclomap.search import SplitMix64, sample_rng
 from cyclomap.unitary import (
     FamilySpec,
-    UnitMapping,
     WrappedMap,
     ext_field_for,
     family_b1,
@@ -121,26 +122,29 @@ def test_reduce_to_unit_pointwise():
                 for r in (1, 3, 0, -1, -q, q * q - 1, q * q + 2):
                     g = reduce_to_unit(make_wrapped(q, r, h, field=F, unit=unit))
                     for x in unit:
-                        assert g(x) == F.mul(F.pow(x, r), F.pow(h.eval(x), q - 1)), (q, ge, r)
-                        assert unit.contains(g(x))  # g maps the circle into itself
+                        assert g.eval(x) == F.mul(F.pow(x, r), F.pow(h.eval(x), q - 1)), (q, ge, r)
+                        assert unit.contains(g.eval(x))  # g maps the circle into itself
 
 
-def _check_against_recount(wm) -> int:
-    """classify_wrapped against an element-level recount through eval_wrapped;
-    returns how many valid m leave a nonempty exceptional set."""
-    F = wm.field
-    images = {x: eval_wrapped(wm, x) for x in range(1, F.q)}
+def _assert_report_is_the_count(report, images, dlog) -> int:
+    """report against a recount of images (point -> image), exceptional sets
+    by ascending dlog; returns how many valid m leave a nonempty one."""
     fibers = Counter(images.values())
     hist = Counter(fibers.values())
-    size = F.q - 1
-    report = classify_wrapped(wm)
+    size = len(images)
     report.check_consistency()
     assert report.histogram == dict(hist)
     assert report.valid_ms == {m for m in range(1, size + 1) if hist[m] == size // m}
     for m in report.valid_ms:
-        expected = sorted((x for x, y in images.items() if fibers[y] != m), key=F.dlog)
+        expected = sorted((x for x, y in images.items() if fibers[y] != m), key=dlog)
         assert list(report.exceptional_of(m)) == expected
     return sum(1 for m in report.valid_ms if size % m)
+
+
+def _check_against_recount(wm) -> int:
+    """classify_wrapped against an element-level recount through eval_wrapped."""
+    images = {x: eval_wrapped(wm, x) for x in range(1, wm.field.q)}
+    return _assert_report_is_the_count(classify_wrapped(wm), images, wm.field.dlog)
 
 
 def test_classify_wrapped_matches_direct_evaluation():
@@ -198,6 +202,43 @@ def test_classify_wrapped_names_the_root():
         assert exc.value.point == unit.element(2) == 16
 
 
+def _check_g_against_recount(wm) -> int:
+    """classify_unit_mapping(reduce_to_unit(wm)) against x^r h(x)^(q-1)
+    recounted at every point of U."""
+    F, unit = wm.field, wm.unit
+    images = {x: F.mul(F.pow(x, wm.r), F.pow(wm.h.eval(x), wm.base_q - 1)) for x in unit}
+    return _assert_report_is_the_count(classify_unit_mapping(reduce_to_unit(wm)), images,
+                                       unit.dlog)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 251, 256])
+def test_classify_unit_mapping_matches_a_pointwise_recount(q):
+    # g's fiber table is packed bytes up to N = q+1 = 252 and a list at 257.
+    # h = 1 makes g = x^r, which has a valid m.  With 2^a the largest power
+    # of 2 dividing N and k = 2^a, x*h(x) = c + x^k + x^-k on U (c outside
+    # GF(q)) makes g = (c + t)^(q-1), one-to-one in t = x^k + x^-k in GF(q):
+    # 2k-to-1 but for the k points with x^k = 1, when N/k > 1 is odd.
+    F = ext_field_for(q)
+    unit = unit_circle(F, q)
+    N = q + 1
+    k = N & -N
+    maps = [(r, Polynomial(F, (1,))) for r in (1, 2, 3, N, -4)]
+    maps += [(r, h) for _, _, r, h in _random_rootfree(q, 5 * q, 2)]
+    if k < N:
+        maps += [(q - 1, Polynomial.from_terms(F, {q: F.exp_at(j), k - 1: 1, q - k: 1}))
+                 for j in (1, 2, 3)]
+    if q <= 8:  # every h = 1 + c*x root-free on the circle, every r mod N
+        for c in range(F.q):
+            h = Polynomial(F, (1, c))
+            if all(h.eval(x) for x in unit):
+                maps += [(r, h) for r in range(N)]
+    uneven = sum(_check_g_against_recount(make_wrapped(q, r, h, field=F, unit=unit))
+                 for r, h in maps)
+    assert uneven or q == 3
+    g = reduce_to_unit(make_wrapped(q, 1, Polynomial(F, (1,)), field=F, unit=unit))
+    assert isinstance(mto1._fiber_sizes(g), bytes) == (N <= 255)
+
+
 # -- branch inference ---------------------------------------------------------------
 
 def test_infer_monomial_branches_binomial():
@@ -233,7 +274,7 @@ def test_infer_power_map_any_index():
         t = (q + 1) // ell
         assert all((e - 3) % t == 0 for e in bm.exponents)
         for x in unit:
-            assert bm.eval(x) == g(x)
+            assert bm.eval(x) == g.eval(x)
 
 
 def test_infer_rejects_non_monomial_table():
@@ -244,11 +285,33 @@ def test_infer_rejects_non_monomial_table():
     # break A_0: points 1, z^2, z^4 now map to 1, z^2, z^2 — the ratio
     # g(z^2*x)/g(x) is inconsistent across the coset
     logs[4] = 2
-    g = UnitMapping(unit, logs)
+    g = BranchMap(CosetDecomposition(unit, q + 1), log_scales=logs, exponents=[0] * (q + 1))
     assert infer_monomial_branches(g, 2) is None
     # identity itself is monomial for every index
-    ident = UnitMapping(unit, range(q + 1))
+    ident = BranchMap(CosetDecomposition(unit, q + 1), log_scales=range(q + 1),
+                      exponents=[0] * (q + 1))
     assert infer_monomial_branches(ident, 2) is not None
+
+
+def test_infer_recovers_any_branch_map(small_branch_maps):
+    # the inference reads g.eval_exp, so it applies to any branch map: at the
+    # map's own index it recovers it, at any other index it gives None or a
+    # map with the same image exponent at every point
+    found = Counter()
+    for dec, las, rs in small_branch_maps:
+        bm = BranchMap(dec, log_scales=las, exponents=rs)
+        N = dec.ctx.order
+        images = list(map(bm.eval_exp, range(N)))
+        for ell in divisors(N):
+            inferred = infer_monomial_branches(bm, ell)
+            if inferred is None:
+                assert ell != dec.index, (dec, las, rs)
+                found["none"] += 1
+            else:
+                assert list(map(inferred.eval_exp, range(N))) == images, (dec, las, rs, ell)
+                found["own" if ell == dec.index else "other"] += 1
+    assert found["own"] == len(small_branch_maps)
+    assert found["other"] and found["none"]
 
 
 def test_infer_from_f_offsets_makes_no_field_call(monkeypatch):
@@ -283,7 +346,7 @@ def test_infer_from_f_offsets_makes_no_field_call(monkeypatch):
             assert not calls, (q, r, calls)
             for bm in filter(None, bms):
                 inferred += 1
-                assert all(bm.eval(x) == g(x) for x in unit)
+                assert all(bm.eval(x) == g.eval(x) for x in unit)
     assert inferred >= 20
 
 
@@ -306,7 +369,7 @@ def test_round_trip_branch_form_equals_g():
             bm = infer_monomial_branches(g, 2)
             assert bm is not None
             for x in unit:
-                assert bm.eval(x) == g(x)
+                assert bm.eval(x) == g.eval(x)
             hits += 1
     assert hits > 10
 
@@ -490,8 +553,8 @@ def test_reductions_and_families_make_no_point_count(monkeypatch, f13):
     # xrh_valid_ms, criterion_xrh, criterion_wrapped's fallback and the
     # B/T families decide from branch data; none classifies explicit pairs
     calls = []
-    real = unitary.classify_pairs
-    monkeypatch.setattr(unitary, "classify_pairs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = mto1.classify_pairs
+    monkeypatch.setattr(mto1, "classify_pairs", lambda *a, **k: calls.append(1) or real(*a, **k))
     q = 5
     for fam, kwargs in (
         (family_b1, dict(ell=2, r=3, v=0, a=1)),
