@@ -9,10 +9,10 @@ the names of `mto1.CRITERIA`, `verify --criterion` those it marks for sweeps.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
+from importlib import import_module
 
 from .cyclotomic import (
     BranchMap,
@@ -33,16 +33,41 @@ from .notation import (
     parse_generator,
     parse_polynomial,
 )
-from .search import SweepSpec, differential_verify, enumerate_mto1
-from .unitary import (
-    classify_unit_mapping,
-    classify_wrapped,
-    criterion_wrapped,
-    ext_field_for,
-    family_function,
-    make_wrapped,
-    reduce_to_unit,
-)
+
+# Names from the modules that only some commands run, so that the other
+# commands never load them.  A handler that reads them calls _bind first; a
+# name read from outside (cli.classify_wrapped) loads its module through
+# __getattr__.
+_LAZY = {
+    "search": ("SweepSpec", "differential_verify", "enumerate_mto1"),
+    "unitary": (
+        "check_unit_index",
+        "classify_unit_mapping",
+        "classify_wrapped",
+        "criterion_wrapped",
+        "ext_field_for",
+        "family_function",
+        "make_wrapped",
+        "reduce_to_unit",
+    ),
+}
+
+
+def _bind(module_name: str):
+    """Import a lazily loaded module and bind its names here.  A name that
+    is bound already keeps its value, so a wrapper set on this module stays
+    the function the handlers call."""
+    module = import_module(f"{__package__}.{module_name}")
+    for name in _LAZY[module_name]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    for module_name, names in _LAZY.items():
+        if name in names:
+            _bind(module_name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _emit(args, payload: dict, human_lines):
@@ -273,7 +298,10 @@ def _wrapped_from_args(args):
 
 
 def _cmd_unit_classify(args, registry):
+    _bind("unitary")
     wm = _wrapped_from_args(args)
+    if args.m is None and args.ell is not None:
+        check_unit_index(args.q, args.ell)  # criterion_wrapped checks it with an m
     F = wm.field
     f_report = classify_wrapped(wm)
     g_report = classify_unit_mapping(reduce_to_unit(wm))
@@ -298,6 +326,9 @@ def _cmd_unit_classify(args, registry):
 
 
 def _cmd_unit_family(args, registry):
+    import inspect
+
+    _bind("unitary")
     construct = family_function(args.family)
     fam = args.family.upper()
     F = ext_field_for(args.q)
@@ -343,6 +374,7 @@ def _cmd_unit_family(args, registry):
 
 
 def _cmd_enumerate(args, registry):
+    _bind("search")
     F = _load_field(args, registry)
     maps = []
     for bm in enumerate_mto1(F, args.ell, args.m, (args.a_min, args.a_max),
@@ -359,6 +391,7 @@ def _cmd_enumerate(args, registry):
 
 
 def _cmd_verify(args, config):
+    _bind("search")
     # a flag wins over its config key; what neither gives, SweepSpec fills
     def pick(name, cast=int):
         flag = getattr(args, name)

@@ -15,7 +15,6 @@ F_q*, the index-l subgroup C_0 and the unit circle share one implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -117,7 +116,7 @@ def unit_circle(ext_field: Field, base_q: int, generator: int | None = None) -> 
 class Polynomial:
     """A polynomial function on F_q: exponents folded modulo x^q - x."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_support")
 
     def __init__(self, field: Field, coeffs):
         cs = list(coeffs)
@@ -125,6 +124,7 @@ class Polynomial:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
+        self._support = tuple(e for e, c in enumerate(cs) if c)  # exponents eval reads
 
     @classmethod
     def from_terms(cls, field: Field, terms: dict) -> "Polynomial":
@@ -144,7 +144,7 @@ class Polynomial:
         return cls(field, coeffs)
 
     def terms(self):
-        return tuple((e, c) for e, c in enumerate(self.coeffs) if c)
+        return tuple((e, self.coeffs[e]) for e in self._support)
 
     @property
     def degree(self) -> int:
@@ -154,17 +154,19 @@ class Polynomial:
         return not self.coeffs
 
     def eval(self, x: int) -> int:
-        F = self.field
-        if not self.coeffs:
+        """f(x), summed over the nonzero terms in ascending degree."""
+        coeffs = self.coeffs
+        if not coeffs:
             return 0
         if x == 0:
-            return self.coeffs[0]
+            return coeffs[0]
+        F = self.field
+        add, mul, exp_at = F.add, F.mul, F.exp_at
         lx = F.dlog(x)
         acc = 0
         order = F.q - 1
-        for e, c in enumerate(self.coeffs):
-            if c:
-                acc = F.add(acc, F.mul(c, F.exp_at((lx * e) % order)))
+        for e in self._support:
+            acc = add(acc, mul(coeffs[e], exp_at((lx * e) % order)))
         return acc
 
     def scale(self, c: int) -> "Polynomial":
@@ -291,8 +293,7 @@ class Branch(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
-class BranchImage:
+class BranchImage(NamedTuple):
     """Closed-form description of one branch's image set."""
 
     target_coset: int
@@ -320,8 +321,7 @@ class RelationKind(Enum):
     OVERLAP = "overlap"
 
 
-@dataclass(frozen=True)
-class BranchRelation:
+class BranchRelation(NamedTuple):
     """Verdict on how two branch images intersect, with the witness data."""
 
     kind: RelationKind

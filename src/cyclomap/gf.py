@@ -11,9 +11,9 @@ discrete logs are Pohlig-Hellman over the prime factors of q - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     DivisibilityViolation,
@@ -94,8 +94,7 @@ def split_prime_power(q: int) -> tuple[int, int]:
 # Integer lemmas: linear Diophantine equations and residue progressions.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiophantineSolution:
+class DiophantineSolution(NamedTuple):
     """Particular solution of a*x + b*y = c with the x-stride b/d.
 
     The full solution set is x = x0 + stride*t, y = y0 - (a/d)*t.
@@ -139,8 +138,7 @@ class ProgressionKind(Enum):
     OVERLAP = "overlap"
 
 
-@dataclass(frozen=True)
-class ResidueSetRelation:
+class ResidueSetRelation(NamedTuple):
     """How B = {(b*y + c) mod n} sits inside A = {(a*x) mod n}.
 
     When the intersection is nonempty it is the arithmetic progression

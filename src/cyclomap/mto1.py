@@ -303,7 +303,9 @@ def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
 
     fn: BranchMap over all of F_q* or Polynomial over field (else
     UnsupportedContext), or callable on codes, evaluated once per point of
-    F_q.  Raises HypothesisViolated when f(0) != 0 or some nonzero root exists.
+    F_q.  Raises DomainElementOutsideField at the first image that is not a
+    code of field, then HypothesisViolated when some nonzero root exists or
+    f(0) != 0.
     """
     if isinstance(fn, BranchMap):
         if not fn.decomp.ctx.is_full or fn.decomp.ctx.field.q != field.q:
@@ -316,10 +318,17 @@ def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
     else:
         evaluate = fn.eval if isinstance(fn, Polynomial) else fn
         field._load_tables()  # evaluates at every point
-        zero_image = evaluate(0)
+
+        def image(x):
+            y = evaluate(x)
+            if not field.contains(y):
+                raise DomainElementOutsideField(f"image {y} of {x} is not in {field!r}")
+            return y
+
+        zero_image = image(0)
         pairs = []
         for x in range(1, field.q):
-            y = evaluate(x)
+            y = image(x)
             if y == 0:
                 raise HypothesisViolated(
                     f"nonzero root {x}: the map must vanish only at 0"

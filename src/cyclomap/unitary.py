@@ -53,6 +53,12 @@ def ext_field_for(q: int) -> Field:
     return make_field(p, 2 * e)
 
 
+def check_unit_index(q: int, ell: int):
+    """IndexNotDividingOrder unless ell is a coset index of the unit circle."""
+    if ell < 1 or (q + 1) % ell:
+        raise IndexNotDividingOrder(f"{ell} does not divide {q + 1}")
+
+
 @dataclass(frozen=True)
 class WrappedMap:
     """f(x) = x^r * h(x^(q-1)) on GF(q^2), h root-free on the unit circle."""
@@ -176,8 +182,7 @@ def criterion_wrapped(wm: WrappedMap, m: int, ell: int | None = None) -> Criteri
     wrap_ok = _wrap_bound_ok(q, m)
     f_map = None
     if ell is not None:
-        if ell < 1 or (q + 1) % ell:
-            raise IndexNotDividingOrder(f"{ell} does not divide {q + 1}")
+        check_unit_index(q, ell)
         f_map = _xrh_branch_map(wm.field, wm.r, wm.h, q + 1)
         bm = infer_monomial_branches(_unit_mapping(wm.unit, f_map), ell)
         if bm is not None:

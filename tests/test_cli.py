@@ -54,6 +54,20 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh_cli(argv, timeout=60, popen=False):
+    """`python -m cyclomap.cli ARGV` in a new interpreter that imports the
+    package from this checkout: a finished run, or with popen the child."""
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, "-m", "cyclomap.cli", *argv]
+    env = dict(os.environ, PYTHONPATH=path)
+    if popen:
+        return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout, env=env)
+
+
 GOLDEN_CASES = {
     "field_info_f64": ["--json", "field-info", "--field", "2^6"],
     "classify_f5": ["--json", "classify", "--field", "5", "--poly", "x^3+x", "--domain", "fq"],
@@ -74,6 +88,14 @@ def test_golden_json(name):
     assert code == 0, err
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("name", ["unit_classify_q5", "enumerate_f13"])
+def test_golden_json_in_a_fresh_process(name):
+    # these commands load unitary and search only when they run
+    proc = fresh_cli(GOLDEN_CASES[name])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == json.loads((GOLDEN / f"{name}.json").read_text())
 
 
 def test_json_is_single_document():
@@ -191,14 +213,7 @@ def test_a_window_with_one_end_takes_the_default_other_end(base, one_end, other_
 
 def test_field_info_degree_40_in_a_fresh_process():
     # the default-modulus search once walked the 2^39 tuples with c0 = 0
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclomap.cli", "--json", "field-info",
-         "--field", "2^40"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = fresh_cli(["--json", "field-info", "--field", "2^40"], timeout=120)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert len(payload["modulus"]) == 41 and payload["modulus"][-1] == 1
@@ -207,14 +222,8 @@ def test_field_info_degree_40_in_a_fresh_process():
 
 def test_cyc_classify_degree_40_in_a_fresh_process():
     # residue classes and Pohlig-Hellman logs: nothing walks 2^40 points
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclomap.cli", "--json", "cyc-classify",
-         "--field", "2^40", "--ell", "3", "--branches", "g^5:7,g^11:7,g^2:7"],
-        capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = fresh_cli(["--json", "cyc-classify", "--field", "2^40", "--ell", "3",
+                      "--branches", "g^5:7,g^11:7,g^2:7"], timeout=30)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["histogram"] == {"1": 2 ** 40 - 1} and payload["valid_m"] == [1]
@@ -224,14 +233,8 @@ def test_cyc_classify_degree_40_in_a_fresh_process():
 def test_cyc_classify_refuses_a_residue_list_past_its_cap():
     # r = 0 makes L = ell * lcm(d_i) the group order 2^40 - 1: one error
     # line and exit 1, not a MemoryError traceback
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclomap.cli", "cyc-classify",
-         "--field", "2^40", "--ell", "3", "--branches", "g:0,g:7,g:7"],
-        capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = fresh_cli(["cyc-classify", "--field", "2^40", "--ell", "3",
+                      "--branches", "g:0,g:7,g:7"], timeout=30)
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
@@ -361,14 +364,7 @@ def test_enumerate_that_finds_no_map_says_so():
 
 
 def test_closed_stdout_ends_in_exit_1_without_a_traceback():
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    child = subprocess.Popen(
-        [sys.executable, "-m", "cyclomap.cli", "enumerate", "--field", "13",
-         "--ell", "2", "--m", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    child = fresh_cli(["enumerate", "--field", "13", "--ell", "2", "--m", "1"], popen=True)
     child.stdout.close()  # before the child writes its first map
     err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 1
@@ -382,6 +378,19 @@ def test_unit_classify_alternative_generator():
              "--gen-exp", j, "--h", "1+x^11+(z^-1+z^10)*x^2"]
         )
         assert code == 0 and json.loads(out)["f_valid_m"] == [3]
+
+
+def test_unit_classify_checks_ell_with_or_without_m():
+    # without --m a coset index that does not divide q+1 was ignored: exit 0
+    # and both valid-m lines
+    base = ["unit-classify", "--q", "5", "--r", "1", "--h", "1"]
+    for json_flag in ([], ["--json"]):
+        for ell in ("7", "0"):
+            refused = (2, "", f"not applicable: {ell} does not divide 6\n")
+            assert run_cli([*json_flag, *base, "--ell", ell]) == refused
+            assert run_cli([*json_flag, *base, "--ell", ell, "--m", "1"]) == refused
+        for ell in ("1", "2", "3", "6"):
+            assert run_cli([*json_flag, *base, "--ell", ell]) == run_cli([*json_flag, *base])
 
 
 def test_crit_specialized_paths():

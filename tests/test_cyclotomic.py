@@ -403,3 +403,39 @@ def test_polynomial_eval_and_algebra(f13):
         assert prod.eval(x) == f13.mul(a.eval(x), b.eval(x))
     assert (a - a).is_zero()
     assert (a ** 2) == a * a
+
+
+def _dense_eval(poly, x):
+    """Sum of c_e * x^e over every coefficient, zeros included."""
+    F = poly.field
+    acc = 0
+    for e, c in enumerate(poly.coeffs):
+        acc = F.add(acc, F.mul(c, F.pow(x, e)))
+    return acc
+
+
+@pytest.mark.parametrize("p, n, samples", [(2, 5, None), (5, 2, None), (2, 20, 30)])
+def test_eval_over_the_nonzero_terms_matches_a_dense_sum(p, n, samples):
+    # GF(2^20) with log_threshold=0 never builds tables: its logs are
+    # Pohlig-Hellman and its products polynomial
+    F = make_field(p, n, log_threshold=0) if samples else make_field(p, n)
+    q = F.q
+    rng = SplitMix64(p * 100 + n)
+    polys = [Polynomial(F, ()), Polynomial(F, (1,)), Polynomial(F, (1 + rng.randrange(q - 1),)),
+             Polynomial(F, (0, 0, 0, 1 + rng.randrange(q - 1)))]
+    for _ in range(6 if samples else 12):
+        top = min(q - 1, 40)
+        coeffs = [rng.randrange(q) if rng.randrange(3) == 0 else 0 for _ in range(top)]
+        polys.append(Polynomial(F, coeffs + [1 + rng.randrange(q - 1)]))
+    if samples is None:
+        points = range(q)
+    else:
+        points = [0, 1, q - 1, *(1 + rng.randrange(q - 1) for _ in range(samples))]
+    assert any(0 in p.coeffs[1:-1] for p in polys)  # interior zero coefficients
+    for poly in polys:
+        assert poly.terms() == tuple((e, c) for e, c in enumerate(poly.coeffs) if c)
+        for x in points:
+            assert poly.eval(x) == _dense_eval(poly, x), (poly, x)
+    assert F.has_log_table == (samples is None)
+    if samples:
+        assert F._log is None

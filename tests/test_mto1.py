@@ -411,6 +411,27 @@ def test_lift_refuses_a_polynomial_over_another_field(f13):
     assert lift_to_full_field(parse_polynomial("x^3", f13), f13, 3).holds
 
 
+def test_lift_refuses_images_outside_the_field(f5):
+    # images 101..104 of GF(5)* were counted as four distinct points and
+    # answered holds=True, "bijective-star"
+    seen = []
+
+    def shifted(x):
+        seen.append(x)
+        return x + 100 if x else 0
+
+    with pytest.raises(DomainElementOutsideField, match="^image 101 of 1 "):
+        lift_to_full_field(shifted, f5, 1)
+    assert seen == [0, 1]  # refused at the first image outside the field
+    with pytest.raises(DomainElementOutsideField, match="^image -1 of 0 "):
+        lift_to_full_field(lambda x: x - 1, f5, 1)
+    # a root before an image outside the field: the root check comes first
+    with pytest.raises(HypothesisViolated, match="nonzero root 1"):
+        lift_to_full_field(lambda x: 0 if x < 2 else 5, f5, 1)
+    with pytest.raises(HypothesisViolated, match="must fix 0"):
+        lift_to_full_field(lambda x: 1 if x == 0 else x, f5, 1)
+
+
 # -- criteria on known instances ----------------------------------------------------
 
 def test_criterion_l2_instances(f13):
