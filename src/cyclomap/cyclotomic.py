@@ -154,17 +154,29 @@ class Polynomial:
         return not self.coeffs
 
     def eval(self, x: int) -> int:
-        """f(x), summed over the nonzero terms in ascending degree."""
+        """f(x), summed over the nonzero terms in ascending degree.
+
+        Where the field's exp/log tables exist, each term c_e*x^e is one
+        lookup in the log domain, exp[(log c_e + e*log x) mod (q-1)], so
+        the only field operation per term is the addition."""
         coeffs = self.coeffs
         if not coeffs:
             return 0
         if x == 0:
             return coeffs[0]
         F = self.field
-        add, mul, exp_at = F.add, F.mul, F.exp_at
-        lx = F.dlog(x)
+        add = F.add
         acc = 0
         order = F.q - 1
+        tables = F._tables()
+        if tables is not None:
+            exp, log = tables
+            lx = log[x]
+            for e in self._support:
+                acc = add(acc, exp[(log[coeffs[e]] + lx * e) % order])
+            return acc
+        mul, exp_at = F.mul, F.exp_at
+        lx = F.dlog(x)
         for e in self._support:
             acc = add(acc, mul(coeffs[e], exp_at((lx * e) % order)))
         return acc

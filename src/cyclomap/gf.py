@@ -4,18 +4,20 @@ Field elements are plain ints: the base-p encoding of the coefficient
 vector, c0 + c1*p + ... + c_{n-1}*p^(n-1); prime fields store the residue
 itself.  A Field owns its modulus, a primitive generator and, at desk
 scale, full exp/log tables, so multiplicative arithmetic reduces to table
-lookups.  Without tables, multiplication is polynomial arithmetic and
-discrete logs are Pohlig-Hellman over the prime factors of q - 1.
+lookups, and so does addition in odd extension fields (a Zech table).
+Without tables, multiplication is polynomial arithmetic and discrete logs
+are Pohlig-Hellman over the prime factors of q - 1.  Primality is proven,
+never assumed: Miller-Rabin where it is deterministic, Pocklington above.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import product
 from typing import NamedTuple
 
 from .errors import (
+    CapExceeded,
     DivisibilityViolation,
     DivisionByZero,
     NotPrime,
@@ -32,34 +34,96 @@ LOG_TABLE_LIMIT = 1 << 22
 _SCALAR_TABLE_LIMIT = 1 << 12
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+#: The first 13 primes.  As Miller-Rabin bases they decide primality of
+#: every n < _MR_PROVEN_LIMIT (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_LIMIT = 3317044064679887385961981
+#: Trial divisions one factorisation may spend before it gives up.
+_TRIAL_DIVISIONS = 1 << 20
+
+
+def _strong_probable_prime(m: int) -> bool:
+    """Whether m > 1 passes Miller-Rabin to every base in _MR_BASES; below
+    _MR_PROVEN_LIMIT that means m is prime."""
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
+    return True
+
+
+def _trial_factor(m: int) -> tuple[list[int], int]:
+    """(primes, rest) for m >= 1: the distinct primes of m found by trial
+    division, ascending, and the part of m they leave, 1 when m is fully
+    factored.  Division stops once the rest is proven prime (it joins the
+    primes), is a strong probable prime too large to be proven so (it is
+    returned), or after _TRIAL_DIVISIONS steps."""
+    primes, f, steps = [], 2, 0
+    while m > 1:
+        if _strong_probable_prime(m):
+            if m >= _MR_PROVEN_LIMIT:
+                return primes, m
+            primes.append(m)
+            return primes, 1
+        while m % f:
+            steps += 1
+            if steps > _TRIAL_DIVISIONS:
+                return primes, m
+            f += 1 if f == 2 else 2
+        primes.append(f)
+        while m % f == 0:
+            m //= f
+    return primes, 1
+
+
+def is_prime(m: int) -> bool:
+    """Whether m is prime, proven: by Miller-Rabin below _MR_PROVEN_LIMIT,
+    above it by Pocklington's n-1 test on the part of m-1 that trial
+    division factors.  CapExceeded when neither proves a probable prime."""
+    if m < 2 or not _strong_probable_prime(m):
+        return False
+    if m < _MR_PROVEN_LIMIT:
+        return True
+    primes, rest = _trial_factor(m - 1)
+    if ((m - 1) // rest + 1) ** 2 <= m:
+        raise CapExceeded(f"cannot prove {m} prime: trial division factors too little of m - 1")
+    # Pocklington: once each prime f of F = (m-1)/rest has a witness a with
+    # gcd(a^((m-1)/f) - 1, m) = 1, every prime factor of m is 1 mod F, and
+    # F + 1 > sqrt(m) leaves m itself as the only one
+    for f in primes:
+        for a in _MR_BASES:  # m passed Miller-Rabin, so a^(m-1) = 1 mod m
+            g = math.gcd(pow(a, (m - 1) // f, m) - 1, m)
+            if g == 1:
+                break
+            if g != m:
+                return False
+        else:
+            raise CapExceeded(f"cannot prove {m} prime: no Pocklington witness")
     return True
 
 
 def prime_factors(m: int) -> tuple[int, ...]:
-    """Distinct prime divisors of m, ascending."""
-    out = []
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out.append(m)
-    return tuple(out)
+    """Distinct prime divisors of m, ascending; CapExceeded when trial
+    division and a primality proof of what it leaves do not finish them."""
+    primes, rest = _trial_factor(m)
+    if rest > 1:
+        if not is_prime(rest):
+            raise CapExceeded(
+                f"cannot factor {m} within {_TRIAL_DIVISIONS} trial divisions")
+        primes.append(rest)
+    return tuple(primes)
 
 
 def divisors(m: int) -> tuple[int, ...]:
@@ -270,14 +334,18 @@ class Field:
     arithmetic is polynomial and logs are Pohlig-Hellman, with baby-step
     giant-step in each prime-order subgroup; those baby tables are built
     on first use too.  ``has_log_table`` reports whether the field uses
-    tables, not whether they exist yet.  Safe to share between threads: two
+    tables, not whether they exist yet.  Odd-characteristic extension fields
+    (p odd, n > 1) build a Zech table with them, Z(k) = log(1 + g^k), so
+    that once the tables exist a sum is g^(log a + Z(log b - log a)) and a
+    negation g^(log a + (q-1)/2); until then, and on every other field,
+    addition is digit arithmetic.  Safe to share between threads: two
     threads that race on a first use both build the same tables and one
     copy is kept.
     """
 
     __slots__ = (
         "p", "n", "q", "modulus", "generator", "_use_tables",
-        "_exp", "_log", "_mask", "_mod_int", "_order_factors", "_bsgs_baby",
+        "_exp", "_log", "_zech", "_mask", "_mod_int", "_order_factors", "_bsgs_baby",
     )
 
     def __init__(self, p, n, modulus, generator=None, log_threshold=LOG_TABLE_LIMIT):
@@ -297,6 +365,7 @@ class Field:
         self._use_tables = self.q <= log_threshold
         self._exp = None
         self._log = None
+        self._zech = None
         self._bsgs_baby = None
         if generator is None:
             self.generator = self._least_primitive_code()
@@ -369,7 +438,12 @@ class Field:
                 acc = self._mul_raw(acc, g)
         if acc != 1:
             raise NotPrimitive("generator does not cycle back to 1")
-        self._exp = exp  # before _log: a reader that sees _log sees _exp
+        if self.p != 2 and self.n > 1:
+            # 1 + g^k differs from g^k in the constant digit only; the
+            # k with g^k = -1 reads log[0] = -1
+            top = self.p - 1
+            self._zech = [log[a - top if a % self.p == top else a + 1] for a in exp]
+        self._exp = exp  # before _log: a reader that sees _log sees _exp and _zech
         self._log = log
 
     # -- raw arithmetic (no tables) -------------------------------------------
@@ -433,6 +507,12 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        if self._log is not None or self._scalar_tables():
+            if a == 0 or b == 0:
+                return a or b
+            log, order = self._log, self.q - 1
+            z = self._zech[(log[b] - log[a]) % order]
+            return 0 if z < 0 else self._exp[(log[a] + z) % order]
         return self.from_coeffs(
             (x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b))
         )
@@ -442,6 +522,8 @@ class Field:
             return (-a) % self.p
         if self.p == 2:
             return a
+        if a and (self._log is not None or self._scalar_tables()):
+            return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
         return self.from_coeffs((-x) % self.p for x in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
@@ -542,6 +624,13 @@ class Field:
             cur = self._mul_raw(cur, giant)
         raise ZeroArgument("element not generated; inconsistent field state")
 
+    def _tables(self):
+        """(exp, log) when the tables exist or a scalar operation may build
+        them, else None: for callers that keep operands as logs."""
+        if self._log is not None or self._scalar_tables():
+            return self._exp, self._log
+        return None
+
     @property
     def has_log_table(self) -> bool:
         """Whether this field uses exp/log tables (built on first use)."""
@@ -578,13 +667,29 @@ def _default_modulus(p: int, n: int) -> tuple[int, ...]:
     for c0 in range(1, p):
         if not _is_primitive_root(sign * c0 % p, p, p_factors):
             continue
-        for rest in product(range(p), repeat=n - 1):
+        for rest in _lex_tuples(p, n - 1):
             f = [c0, *rest, 1]
             if not _is_irreducible(f, p, n):
                 continue
             if _x_is_primitive(f, p, q, factors):
                 return tuple(f)
     raise ReducibleModulus(f"no irreducible degree-{n} modulus over F_{p} found")
+
+
+def _lex_tuples(p: int, k: int):
+    """The k-tuples over range(p) in lexicographic order, as
+    product(range(p), repeat=k) lists them; product would first build
+    range(p) as a tuple, which fails on a large prime p."""
+    digits = [0] * k
+    while True:
+        yield tuple(digits)
+        i = k - 1
+        while i >= 0 and digits[i] == p - 1:
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
 
 
 def _is_primitive_root(g: int, p: int, p_factors) -> bool:

@@ -220,6 +220,17 @@ def test_field_info_degree_40_in_a_fresh_process():
     assert payload["log_table"] is False
 
 
+@pytest.mark.parametrize("field_id", ["2^89", "2^127", "1000000000000000003",
+                                      "4294967291^2", "2305843009213693951^2"])
+def test_field_info_on_a_large_prime_ends_in_a_fresh_process(field_id):
+    # trial division to the square root of 2^89 - 1, 2^127 - 1 or the prime
+    # p itself ran unbounded, where Miller-Rabin and an n-1 proof answer at
+    # once; the modulus search over P^2 built range(P) as a tuple (MemoryError)
+    proc = fresh_cli(["field-info", "--field", field_id], timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert f"field: {field_id}" in proc.stdout.splitlines()
+
+
 def test_cyc_classify_degree_40_in_a_fresh_process():
     # residue classes and Pohlig-Hellman logs: nothing walks 2^40 points
     proc = fresh_cli(["--json", "cyc-classify", "--field", "2^40", "--ell", "3",
@@ -611,6 +622,9 @@ def test_unit_family_usage_errors(argv, message):
 # -- property test: any drawn command line ends in exit 0, 1 or 2 -------------
 
 _FIELDS = ("5", "13", "3^2", "2^4")
+# field-info alone also draws fields whose order or order minus 1 has a
+# prime factor far beyond trial division
+_LARGE_FIELDS = ("2^61", "2^89", "2^127", "1000000000000000003")
 _exponents = st.integers(-5, 40)
 _ells = st.integers(0, 7)
 _ATOMS = {
@@ -738,7 +752,11 @@ def _cli_argv(draw):
          "unit-family", "field-info", *(f"crit {t}" for t in _THEOREMS)))).partition(" ")
     field_id = draw(st.sampled_from(_FIELDS))
     q = field_from_id(field_id).q
-    if command == "field-info":
+    if command == "field-info" and draw(st.booleans()):
+        argv = [command, f"--field={draw(st.sampled_from(_LARGE_FIELDS))}"]
+        if draw(st.booleans()):
+            argv.append(f"--generator={draw(_generator)}")
+    elif command == "field-info":
         argv = [command, f"--field={field_id}", *_flags(
             draw, modulus=_modulus_of(field_id), generator=_generator_of(field_id))]
     elif command == "classify":

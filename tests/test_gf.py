@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclomap import make_field, residue_progression_relation, solve_diophantine
+from cyclomap.cyclotomic import Polynomial
 from cyclomap.errors import (
+    CapExceeded,
     DivisibilityViolation,
     DivisionByZero,
     NotPrime,
@@ -117,10 +119,25 @@ def test_bsgs_path_matches_table():
         assert raw.pow(x, 29) == tabled.pow(x, 29)
 
 
+def _reference_prime_factors(m):
+    """Distinct prime divisors of m by trial division up to sqrt(m)."""
+    out = []
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1 if f == 2 else 2
+    if m > 1:
+        out.append(m)
+    return tuple(out)
+
+
 def _reference_default_modulus(p, n):
     """The modulus search without pre-filters: every c0 != 0 in lex order."""
     q = p ** n
-    factors = prime_factors(q - 1)
+    factors = _reference_prime_factors(q - 1)
     for cs in product(range(p), repeat=n):
         f = list(cs) + [1]
         if cs[0] and _is_irreducible(f, p, n) and _x_is_primitive(f, p, q, factors):
@@ -134,6 +151,13 @@ def test_default_modulus_matches_unfiltered_search():
     assert len(fields) == 37
     for p, n in fields:
         assert _default_modulus(p, n) == _reference_default_modulus(p, n), (p, n)
+
+
+def test_default_modulus_of_larger_test_fields_is_pinned():
+    # the fields of this file beyond the unfiltered search above
+    assert _default_modulus(2, 13) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)
+    assert _default_modulus(2, 40) == (1, *[0] * 34, 1, 1, 1, 0, 0, 1)
+    assert _default_modulus(1000003, 2) == (2, 4, 1)
 
 
 def test_default_modulus_large_prime_quadratic_is_fast():
@@ -290,3 +314,104 @@ def test_prime_helpers():
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(33)
     assert prime_factors(63) == (3, 7)
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
+
+
+# -- table-backed addition: Zech logarithms --------------------------------------
+
+_ODD_EXTENSIONS = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(2, 6) if p ** n <= 243]
+
+
+def _tabled_and_digit_twins(p, n):
+    """GF(p^n) with its tables built, and the same field that never builds them."""
+    tabled = make_field(p, n)
+    tabled._load_tables()
+    digits = make_field(p, n, log_threshold=0)
+    assert tabled._zech is not None and digits._log is None
+    return tabled, digits
+
+
+@pytest.mark.parametrize("p,n", _ODD_EXTENSIONS)
+def test_zech_addition_matches_digit_arithmetic_on_all_pairs(p, n):
+    F, D = _tabled_and_digit_twins(p, n)
+    for a in range(F.q):
+        assert F.neg(a) == D.neg(a), a
+        assert F.add(a, D.neg(a)) == 0
+        for b in range(F.q):
+            assert F.add(a, b) == D.add(a, b), (a, b)
+            assert F.sub(a, b) == D.sub(a, b), (a, b)
+    assert D._log is None
+
+
+@pytest.mark.parametrize("p,n", [(3, 7), (5, 5), (7, 4), (13, 3)])
+def test_zech_addition_matches_digit_arithmetic_on_seeded_pairs(p, n):
+    F, D = _tabled_and_digit_twins(p, n)
+    rng = SplitMix64(p ** n)
+    for i in range(20_000):
+        a = rng.randrange(F.q) if i % 10 else 0
+        b = (D.neg(a), 0, rng.randrange(F.q))[i % 3] if i % 7 else rng.randrange(F.q)
+        assert F.add(a, b) == D.add(a, b), (a, b)
+        assert F.sub(a, b) == D.sub(a, b), (a, b)
+        assert F.neg(b) == D.neg(b), b
+
+
+@pytest.mark.parametrize("p,n", _ODD_EXTENSIONS + [(2, 6), (13, 1)])
+def test_log_domain_eval_matches_untabled_eval(p, n):
+    F, D = make_field(p, n), make_field(p, n, log_threshold=0)
+    F._load_tables()
+    rng = SplitMix64(100 * p + n)
+    for _ in range(30):
+        degree = rng.randrange(F.q)
+        coeffs = [rng.randrange(F.q) if rng.randrange(3) else 0 for _ in range(degree + 1)]
+        for x in (0, 1, rng.randrange(F.q)):
+            assert Polynomial(F, coeffs).eval(x) == Polynomial(D, coeffs).eval(x), (coeffs, x)
+    assert D._log is None
+
+
+# -- bounded primality -------------------------------------------------------------
+
+# Field orders of the goldens, the acceptance suite and the benchmark workloads
+_PINNED_ORDERS = (5, 7, 9, 11, 13, 16, 17, 19, 25, 29, 32, 49, 64, 81, 121, 169, 1024,
+                  2 ** 12, 2 ** 14, 2 ** 16, 2 ** 18, 2 ** 20, 3 ** 10, 5 ** 7, 1048573)
+
+
+def test_prime_factors_of_pinned_field_orders_are_unchanged():
+    for q in _PINNED_ORDERS:
+        p = _reference_prime_factors(q)[0]
+        for m in (q, q - 1, p - 1):
+            assert prime_factors(m) == _reference_prime_factors(m), m
+
+
+def test_is_prime_matches_trial_division():
+    assert [m for m in range(-3, 20_000) if is_prime(m)] == [
+        m for m in range(2, 20_000) if _reference_prime_factors(m) == (m,)]
+    rng = SplitMix64(89)
+    for m in [rng.randrange(1 << 36) for _ in range(300)]:
+        assert prime_factors(m) == _reference_prime_factors(m), m
+
+
+def test_is_prime_on_large_inputs():
+    # strong pseudoprimes to the first 4, 9 and 13 prime bases, then primes
+    for m in (3215031751, 3825123056546413051):
+        assert not is_prime(m) and prime_factors(m) == _reference_prime_factors(m)
+    psi13 = 3317044064679887385961981  # composite: no proof may admit it
+    try:
+        assert not is_prime(psi13)
+    except CapExceeded:
+        pass
+    for m in (2 ** 61 - 1, 10 ** 18 + 3, 2 ** 89 - 1, 2 ** 127 - 1):
+        assert is_prime(m), m
+        assert prime_factors(m) == (m,)
+    assert not is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
+    assert prime_factors(2 ** 127 - 2) == (
+        2, 3, 7, 19, 43, 73, 127, 337, 5419, 92737, 649657, 77158673929)
+
+
+def test_unprovable_inputs_raise_cap_exceeded():
+    # two primes near 2^40 or both above 2^27: beyond trial division, and
+    # not a prime to prove
+    for m in (1099511627791 * 1099511627803, 2 ** 67 - 1):
+        with pytest.raises(CapExceeded):
+            prime_factors(m)
+    # 2^107 - 1 is prime, but trial division leaves too much of 2^107 - 2
+    with pytest.raises(CapExceeded):
+        is_prime(2 ** 107 - 1)
