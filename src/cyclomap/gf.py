@@ -126,6 +126,14 @@ def prime_factors(m: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+def _unit_group_factors(p: int, n: int) -> tuple[int, ...]:
+    """prime_factors(p**n - 1), for even n from p**(n/2) - 1 and p**(n/2) + 1
+    apart: trial division can finish each where their product is too large."""
+    if n % 2:
+        return prime_factors(p ** n - 1)
+    return tuple(sorted({*_unit_group_factors(p, n // 2), *prime_factors(p ** (n // 2) + 1)}))
+
+
 def divisors(m: int) -> tuple[int, ...]:
     """All positive divisors of m, ascending."""
     small, large = [], []
@@ -355,7 +363,7 @@ class Field:
         self.n = n
         self.q = p ** n
         self.modulus = tuple(modulus)
-        self._order_factors = prime_factors(self.q - 1) if self.q > 2 else ()
+        self._order_factors = _unit_group_factors(p, n)
         if p == 2:
             self._mod_int = sum(c << i for i, c in enumerate(self.modulus))
             self._mask = 1 << n
@@ -661,7 +669,7 @@ def _default_modulus(p: int, n: int) -> tuple[int, ...]:
     terms are tried; c0 = 0 is never one of them.
     """
     q = p ** n
-    factors = prime_factors(q - 1)
+    factors = _unit_group_factors(p, n)
     p_factors = prime_factors(p - 1)
     sign = -1 if n % 2 else 1
     for c0 in range(1, p):

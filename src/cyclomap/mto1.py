@@ -185,8 +185,14 @@ def _zero_extended(report: Mto1Report, ctx) -> Mto1Report:
 
 # `classify_branch_map` holds one int per residue class mod L; beyond this
 # many it refuses rather than exhaust memory (L reaches N when an exponent
-# is 0 mod N).
+# is 0 mod N).  The counting report and wrapped maps walk no more points.
 _MAX_RESIDUES = 1 << 22
+
+
+def _check_cap(count: int, what: str):
+    """CapExceeded when a walk over count `what` would pass `_MAX_RESIDUES`."""
+    if count > _MAX_RESIDUES:
+        raise CapExceeded(f"{count} {what}, more than the cap {_MAX_RESIDUES}")
 
 
 def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
@@ -205,11 +211,7 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
     N, ell = ctx.order, bm.decomp.index
     ds, offsets = bm.multiplicities, bm._offsets
     L = ell * math.lcm(*ds)
-    if L > _MAX_RESIDUES:
-        raise CapExceeded(
-            f"exact classification needs {L} residue classes"
-            f" (ell * lcm of the multiplicities), more than the cap {_MAX_RESIDUES}"
-        )
+    _check_cap(L, "residue classes (ell * lcm of the multiplicities) to classify")
     sizes = [0] * L  # fiber size at the exponents of each residue mod L
     for d, off in zip(ds, offsets):
         step = ell * d
@@ -237,18 +239,18 @@ def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report
     return _zero_extended(report, ctx) if include_zero else report
 
 
-def _counted_report(bm: BranchMap, include_zero: bool = False) -> Mto1Report:
-    """`classify_branch_map` from `_fiber_sizes`, which counts every point:
-    the oracle's report, for the paths that compare against brute force."""
-    sizes = _fiber_sizes(bm)
+def _counted_report(bm: BranchMap) -> Mto1Report:
+    """`classify_branch_map` from `_fiber_sizes`, which counts every point, for
+    the paths that compare against brute force; CapExceeded past `_MAX_RESIDUES`."""
     ctx = bm.decomp.ctx
+    _check_cap(ctx.order, "points to count")
+    sizes = _fiber_sizes(bm)
 
     def exceptional(m: int) -> tuple[int, ...]:
         images = map(bm.eval_exp, range(ctx.order))
         return tuple([ctx.element(k) for k, e in enumerate(images) if sizes[e] != m])
 
-    report = Mto1Report(filter(None, sizes), exceptional)
-    return _zero_extended(report, ctx) if include_zero else report
+    return Mto1Report(filter(None, sizes), exceptional)
 
 
 def classify_polynomial(poly: Polynomial, domain: str | tuple = "fqstar") -> Mto1Report:
@@ -367,7 +369,7 @@ def criterion_l2(bm: BranchMap, m: int) -> CriterionVerdict:
             return _yes("equal-multiplicities, disjoint images")
         return _no("equal-multiplicities but images coincide")
     if m == d0 + d1:
-        d = d0 if d0 <= d1 else d1
+        d = min(d0, d1)
         if m % d:
             return _no("min multiplicity does not divide m")
         if off[0] % (2 * d) != off[1] % (2 * d):
@@ -387,7 +389,7 @@ _NO_CLAUSE = _no("no clause satisfied")
 
 
 def criterion_l3(bm: BranchMap, m: int) -> CriterionVerdict:
-    """Three branches: m-to-1 on the group iff one of six clauses holds."""
+    """Three branches: m-to-1 on the group iff a clause of the paper holds."""
     if bm.decomp.index != 3:
         raise WrongIndex("criterion_l3 needs exactly 3 branches")
     N = bm.decomp.ctx.order
@@ -398,7 +400,6 @@ def criterion_l3(bm: BranchMap, m: int) -> CriterionVerdict:
     d = bm.multiplicities
     off = bm._offsets
     s = bm.decomp.coset_size
-    two_s = 2 * s
     total = d[0] + d[1] + d[2]
     for i, j, k in _ORDERINGS_3:
         di, dj, dk = d[i], d[j], d[k]
@@ -408,10 +409,12 @@ def criterion_l3(bm: BranchMap, m: int) -> CriterionVerdict:
             n1 = 3 * m
             if len({off[0] % n1, off[1] % n1, off[2] % n1}) == 3:
                 return _yes("clause 1: equal multiplicities, distinct images")
-        if m == dk and m == di + dj and dj % di == 0:
+        # di = dj is the paper's di | dj with its bound (s/dj)(dj - di) < m,
+        # which fails for di < dj: dj, dk | s force s >= 2*dk, and dj >= 2*di.
+        if m == dk == 2 * di and di == dj:
             n2 = 3 * di
             oi, oj, ok = off[i] % n2, off[j] % n2, off[k] % n2
-            if oi == oj != ok and (s // dj) * (dj - di) < m:
+            if oi == oj != ok:
                 return _yes("clause 2: pair merges into the heavy branch's level")
         if m == di + dj and dj == dk and dj % di == 0:
             n3 = 3 * di
@@ -419,12 +422,9 @@ def criterion_l3(bm: BranchMap, m: int) -> CriterionVerdict:
                 n3b = 3 * dj
                 if off[j] % n3b != off[k] % n3b and (s // dj) * (dj - 2 * di) < m:
                     return _yes("clause 3: light branch inside both heavy images")
-        if m == two_s and di == dj == dk == s:
-            n4 = 3 * s
-            oi, oj, ok = off[i] % n4, off[j] % n4, off[k] % n4
-            if (oi == oj != ok) or (oi == ok != oj):
-                return _yes("clause 4: full-size branches, one pair merged")
-        if m == two_s and dj == dk == s:
+        # Clause 5 decides the paper's clause 4 (all d = s, one pair merged): the
+        # labelling (k, i, j) or (j, i, k) makes the merged pair clause 5's (j, k).
+        if m == 2 * s and dj == dk == s:
             n5 = 3 * s
             if off[j] % n5 == off[k] % n5:
                 n5b = 3 * d[i]

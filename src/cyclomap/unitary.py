@@ -38,6 +38,7 @@ from .errors import (
 from .gf import Field, make_field, split_prime_power
 from .mto1 import (
     CriterionVerdict,
+    _check_cap,
     _counted_report,
     criterion_equal_d,
     criterion_l2,
@@ -86,6 +87,7 @@ def make_wrapped(q: int, r: int, h: Polynomial, *, field: Field | None = None,
         raise ConstraintViolated(f"h must live in GF({q}^2)")
     if h.is_zero():
         raise ConstraintViolated("h must be nonzero")
+    _check_cap(q + 1, "unit-circle points")
     u = unit if unit is not None else unit_circle(F, q)
     if u.field is not F or u.order != q + 1:
         raise ConstraintViolated(f"unit must be the order-{q + 1} subgroup of GF({q}^2)")
@@ -266,6 +268,7 @@ def _require(cond: bool, name: str):
 
 
 def _family_env(q: int):
+    _check_cap(q + 1, "unit-circle points")  # before h, with up to q+1 dense coefficients
     F = ext_field_for(q)
     unit = unit_circle(F, q)
     return F, unit

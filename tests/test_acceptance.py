@@ -472,3 +472,32 @@ def _trichotomy(bm):
                 assert (kind is RelationKind.EQUAL) == (img_i == img_j)
                 assert (kind is RelationKind.FIRST_IN_SECOND) == (img_i < img_j)
                 assert (kind is RelationKind.SECOND_IN_FIRST) == (img_j < img_i)
+
+
+def test_acceptance_13_differential_branches_items_06_to_09_miss():
+    # 2to1 at index 1 and at singleton cosets (index q-1), and GF(3), whose
+    # group of order 2 is the smallest that 2-to-1 is asked of: acceptance 08
+    # sweeps none of these branches.  The l3 sweep at GF(37) (s = 12) reaches
+    # clause 3's size bound, which no field of acceptance 07 decides.
+    start = time.perf_counter()
+    specs = [
+        SweepSpec(criterion="2to1", field_id="13", ell=1, r_range=(1, 12)),
+        SweepSpec(criterion="2to1", field_id="17", ell=1, r_range=(1, 16)),
+        SweepSpec(criterion="2to1", field_id="13", ell=12, r_range=(1, 12),
+                  mode="random", samples=10_000, seed=42),
+        SweepSpec(criterion="2to1", field_id="17", ell=16, r_range=(1, 16),
+                  mode="random", samples=10_000, seed=42),
+        SweepSpec(criterion="2to1", field_id="3", ell=1, r_range=(1, 2)),
+        SweepSpec(criterion="2to1", field_id="3", ell=2, r_range=(1, 2)),
+        SweepSpec(criterion="l3", field_id="37", ell=3, r_range=(1, 36),
+                  mode="random", samples=20_000, seed=42),
+    ]
+    reports = []
+    for spec in specs:
+        rep = differential_verify(spec)
+        assert rep.mismatches == [], spec
+        reports.append(rep)
+    assert [rep.total_cases for rep in reports] == [144, 256, 10_000, 10_000, 4, 16, 20_000]
+    _assert_pinned(reports, "e17cf582440a9193a3d1c90f778281cd1eb333a1d1c923a098cf27b5a034281e")
+    elapsed = time.perf_counter() - start
+    _report(13, "criterion branches beyond items 6-9 vs oracle", elapsed, 60)

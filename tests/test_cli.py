@@ -221,14 +221,32 @@ def test_field_info_degree_40_in_a_fresh_process():
 
 
 @pytest.mark.parametrize("field_id", ["2^89", "2^127", "1000000000000000003",
-                                      "4294967291^2", "2305843009213693951^2"])
+                                      "4294967291^2", "2305843009213693951^2",
+                                      "1000000000000000003^2"])
 def test_field_info_on_a_large_prime_ends_in_a_fresh_process(field_id):
     # trial division to the square root of 2^89 - 1, 2^127 - 1 or the prime
     # p itself ran unbounded, where Miller-Rabin and an n-1 proof answer at
-    # once; the modulus search over P^2 built range(P) as a tuple (MemoryError)
+    # once; the modulus search over P^2 built range(P) as a tuple (MemoryError);
+    # trial division left p^2 - 1 = (p - 1)(p + 1) unfactored at p = 10^18 + 3
     proc = fresh_cli(["field-info", "--field", field_id], timeout=5)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     assert f"field: {field_id}" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ["unit-classify", "--q", "2305843009213693951", "--r", "1", "--h", "1+x"],
+    ["unit-classify", "--q", "1000000000000000003", "--r", "1", "--h", "1+x"],
+    ["unit-family", "--family", "CBU", "--q", "1000000000000000003",
+     "--r", "1", "--u", "0", "--a", "z"],
+])
+def test_unit_commands_past_the_circle_cap_end_in_a_fresh_process(argv):
+    # make_wrapped evaluated h at every one of the q+1 circle points, and
+    # CBU built h's q+1 dense coefficients (MemoryError); both now stop at
+    # the cap before h is evaluated or built
+    proc = fresh_cli(argv, timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.endswith(" unit-circle points, more than the cap 4194304\n")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_cyc_classify_degree_40_in_a_fresh_process():

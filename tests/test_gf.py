@@ -22,10 +22,12 @@ from cyclomap.gf import (
     ProgressionKind,
     _default_modulus,
     _is_irreducible,
+    _unit_group_factors,
     _x_is_primitive,
     divisors,
     is_prime,
     prime_factors,
+    split_prime_power,
 )
 from cyclomap.search import SplitMix64
 
@@ -375,10 +377,29 @@ _PINNED_ORDERS = (5, 7, 9, 11, 13, 16, 17, 19, 25, 29, 32, 49, 64, 81, 121, 169,
 
 
 def test_prime_factors_of_pinned_field_orders_are_unchanged():
-    for q in _PINNED_ORDERS:
-        p = _reference_prime_factors(q)[0]
+    test_fields = [(p, n) for p in range(2, 56) if is_prime(p)
+                   for n in range(1, 12) if p ** n <= 5 ** 5]
+    for q in _PINNED_ORDERS + tuple(p ** n for p, n in test_fields):
+        p, n = split_prime_power(q)
         for m in (q, q - 1, p - 1):
             assert prime_factors(m) == _reference_prime_factors(m), m
+        assert _unit_group_factors(p, n) == _reference_prime_factors(q - 1), q
+
+
+def test_unit_group_factors_split_an_even_degree():
+    # trial division leaves p^2 - 1 = (p - 1)(p + 1) with two large
+    # cofactors at p = 10^18 + 3; p - 1 and p + 1 apart it finishes
+    p = 10 ** 18 + 3
+    with pytest.raises(CapExceeded):
+        prime_factors(p * p - 1)
+    factors = _unit_group_factors(p, 2)
+    rest = p * p - 1
+    for f in factors:
+        assert is_prime(f)
+        while rest % f == 0:
+            rest //= f
+    assert rest == 1 and list(factors) == sorted(factors)
+    assert make_field(p, 2).q == p * p
 
 
 def test_is_prime_matches_trial_division():

@@ -28,6 +28,7 @@ from cyclomap import (
 )
 from cyclomap.cyclotomic import RelationKind
 from cyclomap.errors import (
+    CapExceeded,
     DomainElementOutsideField,
     HypothesisViolated,
     NotPrime,
@@ -41,6 +42,7 @@ from cyclomap.mto1 import (
     Mto1Report,
     _counted_report,
     _fiber_sizes,
+    _zero_extended,
     branch_map_valid_ms,
     cor32,
     cor33,
@@ -210,7 +212,9 @@ def _assert_residue_report_is_the_count(bm) -> int:
     nonempty = 0
     for include_zero in (False, True):
         fast = classify_branch_map(bm, include_zero)
-        slow = _counted_report(bm, include_zero)
+        slow = _counted_report(bm)
+        if include_zero:
+            slow = _zero_extended(slow, bm.decomp.ctx)
         assert fast.domain_size == slow.domain_size
         assert fast.histogram == slow.histogram, (bm, include_zero)
         assert fast.valid_ms == slow.valid_ms, (bm, include_zero)
@@ -309,13 +313,23 @@ def test_each_counting_report_counts_the_points_once(monkeypatch, f13):
     monkeypatch.setattr(mto1, "_fiber_sizes", lambda bm: calls.append(bm) or count(bm))
     bm = _bm(f13, 2, [(1, 2), (12, 4)])
     assert branch_map_valid_ms(bm) == {2} and len(calls) == 1
-    report = _counted_report(bm, include_zero=True)
+    report = _zero_extended(_counted_report(bm), bm.decomp.ctx)
     assert report.valid_ms == {2} and report.exceptional_of(2) == (0,)
     assert len(calls) == 2
     F = unitary.ext_field_for(5)
     wm = unitary.make_wrapped(5, 1, Polynomial(F, (1,)), field=F)
     assert unitary.classify_wrapped(wm).valid_ms == {1}
     assert len(calls) == 3
+
+
+def test_counting_report_refuses_a_group_past_the_cap():
+    # classify_wrapped and classify_unit_mapping count every point, so past
+    # 2^22 points they refuse, while the residue report still answers
+    F = make_field(2, 23)
+    bm = _bm(F, 1, [(1, 1)])
+    with pytest.raises(CapExceeded):
+        _counted_report(bm)
+    assert classify_branch_map(bm).valid_ms == {1}
 
 
 def test_branch_map_fast_path_matches_generic(f13):
@@ -391,9 +405,10 @@ def test_lift_and_zero_fiber_refuse_other_domains(f13):
         with pytest.raises(UnsupportedContext) as exc:
             lift_to_full_field(bm, field, 1)
         assert "\n" not in str(exc.value)
-    for report in (classify_branch_map, _counted_report):
-        with pytest.raises(UnsupportedContext):
-            report(ident, include_zero=True)
+    with pytest.raises(UnsupportedContext):
+        classify_branch_map(ident, include_zero=True)
+    with pytest.raises(UnsupportedContext):
+        _zero_extended(_counted_report(ident), sub.ctx)
     assert classify_branch_map(ident).valid_ms == {1}
 
 
@@ -467,6 +482,39 @@ def test_criterion_l3_label_invariance(f13):
         oracle = branch_map_valid_ms(bm)
         for m in range(1, 13):
             assert criterion_l3(bm, m).holds == (m in oracle)
+
+
+def test_clause_2_size_bound_holds_iff_the_light_pair_is_equal():
+    # the paper's clause 2 bound (s/dj)(dj - di) < m, m = di + dj, under
+    # di | dj, dj | s and m | s, which criterion_l3 states as di == dj
+    unequal = 0
+    for s in range(1, 2001):
+        for dj in divisors(s):
+            for di in divisors(dj):
+                if s % (di + dj) == 0:
+                    assert ((s // dj) * (dj - di) < di + dj) == (di == dj), (s, di, dj)
+                    unequal += di < dj
+    assert unequal == 4451
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (13, 1), (2, 4)])
+def test_clause_5_decides_every_full_size_map_with_one_merged_pair(p, n):
+    # the paper's clause 4 (every d = s, m = 2s, exactly two of the three
+    # images equal), which criterion_l3 leaves to clause 5
+    F = make_field(p, n)
+    dec = decompose(multiplicative_group(F), 3)
+    N, s = F.q - 1, dec.coset_size
+    merged = 0
+    for las in product(range(N), repeat=3):
+        for rs in product((s, 2 * s, 3 * s), repeat=3):
+            bm = BranchMap(dec, log_scales=las, exponents=rs)
+            if len({off % (3 * s) for off in bm._offsets}) != 2:
+                continue
+            verdict = criterion_l3(bm, 2 * s)
+            assert verdict.holds and verdict.witness.startswith("clause 5"), (las, rs)
+            assert 2 * s in branch_map_valid_ms(bm), (las, rs)
+            merged += 1
+    assert merged == 27 * 3 * N * (N - 1)  # offsets are uniform mod N = 3s
 
 
 def test_criterion_2to1_special_indices(f13, f17):
