@@ -27,6 +27,7 @@ from .notation import (
     element_json,
     field_from_id,
     format_element,
+    format_log,
     parse_branches,
     parse_config,
     parse_element,
@@ -155,8 +156,10 @@ def _cmd_cyc_classify(args, registry):
     F, bm = _branch_map_from_args(args, registry)
     report = classify_branch_map(bm, include_zero=(args.domain == "fq"))
     payload = _report_payload(F, args.domain, report)
+    # the map holds each constant's log, so no branch needs a discrete log
     payload["branches"] = [
-        [element_json(F, a), r] for a, r in bm.branches
+        [F.exp_at(k) if F.n == 1 else format_log(k), r]
+        for k, r in zip(bm.log_scales, bm.exponents)
     ]
     _emit(args, payload, _report_lines(F, args.domain, report))
     return 0

@@ -25,6 +25,7 @@ from .errors import (
     NotInGroup,
     NotPrimitive,
     UnsupportedContext,
+    _check_cap,
 )
 from .gf import Field, ProgressionKind, residue_progression_relation
 
@@ -36,12 +37,14 @@ class GroupContext:
     multiple of index.  Its generator is g^e for the field generator g, with
     index | e and gcd(e/index, N) = 1, so element(k) = g^(k*e) and
     dlog(x) = (field.dlog(x)/index) * (e/index)^-1 mod N.  F_q* itself is
-    the case index = 1, e = 1.
+    the case index = 1, e = 1.  A caller that already knows e passes it
+    as gen_log, and no discrete log is taken.
     """
 
     __slots__ = ("field", "order", "generator", "index", "_gen_log", "_log_factor")
 
-    def __init__(self, field: Field, order: int, generator: int):
+    def __init__(self, field: Field, order: int, generator: int,
+                 gen_log: int | None = None):
         if order < 1 or (field.q - 1) % order:
             raise IndexNotDividingOrder(
                 f"order {order} does not divide |F*| = {field.q - 1}"
@@ -52,7 +55,12 @@ class GroupContext:
         self.order = order
         self.generator = generator
         self.index = (field.q - 1) // order
-        e = 1 if generator == field.generator else field.dlog(generator)
+        if generator == field.generator:
+            e = 1
+        elif gen_log is None:
+            e = field.dlog(generator)
+        else:
+            e = gen_log
         if e % self.index or math.gcd(e // self.index, order) != 1:
             raise NotPrimitive(f"generator does not have exact order {order}")
         self._gen_log = e
@@ -94,9 +102,10 @@ def multiplicative_group(field: Field) -> GroupContext:
 
 def subgroup_of_order(field: Field, order: int, generator: int | None = None) -> GroupContext:
     """The unique subgroup of F_q* of the given order (must divide q-1);
-    its default generator is g^((q-1)/order)."""
+    its default generator is g^((q-1)/order), whose log needs no dlog."""
     if generator is None and order >= 1:  # GroupContext rejects a bad order
-        generator = field.exp_at((field.q - 1) // order)
+        e = (field.q - 1) // order % (field.q - 1)
+        return GroupContext(field, order, field.exp_at(e), gen_log=e)
     return GroupContext(field, order, generator)
 
 
@@ -114,7 +123,11 @@ def unit_circle(ext_field: Field, base_q: int, generator: int | None = None) -> 
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """A polynomial function on F_q: exponents folded modulo x^q - x."""
+    """A polynomial function on F_q: exponents folded modulo x^q - x.
+
+    Coefficients are stored densely, so a polynomial of degree d holds
+    d + 1 of them; building one past `_MAX_RESIDUES` raises CapExceeded.
+    """
 
     __slots__ = ("field", "coeffs", "_support")
 
@@ -138,7 +151,9 @@ class Polynomial:
             if e >= q:
                 e = 1 + (e - 1) % (q - 1)
             folded[e] = field.add(folded.get(e, 0), c)
-        coeffs = [0] * (max(folded) + 1 if folded else 0)
+        size = max(folded) + 1 if folded else 0
+        _check_cap(size, "dense polynomial coefficients")
+        coeffs = [0] * size
         for e, c in folded.items():
             coeffs[e] = c
         return cls(field, coeffs)
@@ -216,9 +231,17 @@ class Polynomial:
         return Polynomial.from_terms(F, terms)
 
     def __pow__(self, e: int) -> "Polynomial":
+        """self**e.  A monomial c*x^k is c^e*x^(k*e), folded by `from_terms`
+        without multiplying; any other power is refused before multiplying
+        when its dense degree, at most min(e*degree, q-1), passes the cap."""
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial(self.field, (1,))
+        F = self.field
+        if len(self._support) == 1:
+            (k,) = self._support
+            return Polynomial.from_terms(F, {k * e: F.pow(self.coeffs[k], e)})
+        _check_cap(min(e * self.degree, F.q - 1) + 1, "dense polynomial coefficients")
+        result = Polynomial(F, (1,))
         base = self
         while e:
             if e & 1:

@@ -101,3 +101,16 @@ class ConstraintViolated(HypothesisError):
 
 class CapExceeded(CyclomapError):
     pass
+
+
+# A walk or a dense table past this many entries is refused rather than
+# allowed to exhaust memory or time: `classify_branch_map`'s residue
+# classes, the points the counting report and wrapped maps walk, and the
+# coefficients of a dense polynomial.
+_MAX_RESIDUES = 1 << 22
+
+
+def _check_cap(count: int, what: str):
+    """CapExceeded when a walk over count `what` would pass `_MAX_RESIDUES`."""
+    if count > _MAX_RESIDUES:
+        raise CapExceeded(f"{count} {what}, more than the cap {_MAX_RESIDUES}")

@@ -26,12 +26,12 @@ from typing import Callable, NamedTuple
 
 from .cyclotomic import BranchMap, CosetDecomposition, Polynomial, multiplicative_group
 from .errors import (
-    CapExceeded,
     DomainElementOutsideField,
     HypothesisViolated,
     UnequalGcds,
     UnsupportedContext,
     WrongIndex,
+    _check_cap,
 )
 from .gf import make_field, split_prime_power
 
@@ -181,18 +181,6 @@ def _zero_extended(report: Mto1Report, ctx) -> Mto1Report:
     histogram[1] = histogram.get(1, 0) + 1
     star = report._exceptional_fn
     return Mto1Report.from_histogram(histogram, lambda m: (() if m == 1 else (0,)) + star(m))
-
-
-# `classify_branch_map` holds one int per residue class mod L; beyond this
-# many it refuses rather than exhaust memory (L reaches N when an exponent
-# is 0 mod N).  The counting report and wrapped maps walk no more points.
-_MAX_RESIDUES = 1 << 22
-
-
-def _check_cap(count: int, what: str):
-    """CapExceeded when a walk over count `what` would pass `_MAX_RESIDUES`."""
-    if count > _MAX_RESIDUES:
-        raise CapExceeded(f"{count} {what}, more than the cap {_MAX_RESIDUES}")
 
 
 def classify_branch_map(bm: BranchMap, include_zero: bool = False) -> Mto1Report:

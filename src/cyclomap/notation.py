@@ -222,17 +222,25 @@ def parse_field_id(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2) or 1)
 
 
+def format_log(k: int) -> str:
+    """Display of g^k in a non-prime field, from its log k in [0, q-2]."""
+    if k == 0:
+        return "1"
+    if k == 1:
+        return "g"
+    return f"g^{k}"
+
+
 def format_element(field: Field, code: int) -> str:
-    """Canonical display: decimal for prime fields, '0' or 'g^K' otherwise."""
+    """Canonical display: decimal for prime fields, '0' or `format_log` of
+    the element's log otherwise."""
     if field.n == 1:
         return str(code)
     if code == 0:
         return "0"
-    if code == 1:
-        return "1"
-    if code == field.generator:
-        return "g"
-    return f"g^{field.dlog(code)}"
+    # 1 and g need no discrete log, which a large field may not afford
+    k = 0 if code == 1 else 1 if code == field.generator else field.dlog(code)
+    return format_log(k)
 
 
 def element_json(field: Field, code: int):

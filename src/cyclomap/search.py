@@ -4,7 +4,10 @@ Every closed-form criterion is held to zero mismatches against the
 brute-force classification over exhaustive or seeded-random parameter
 sweeps.  Random draws use a SplitMix-style 64-bit stream: sample j draws
 from SplitMix64(seed + j), so partitioned parallel runs reproduce the
-serial stream exactly and reports merge associatively.
+serial stream exactly and reports merge associatively.  `SplitMix64` and
+`sample_rng` define that stream; a sweep computes it in blocks of up to
+`_BLOCK` samples, one word of every sample of a block mixed at once as
+128-bit lanes of a single int (`_splitmix_columns`).
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import islice, product
 
@@ -37,6 +42,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# samples per packed block: each lane constant of a block is 16 KB
+_BLOCK = 1024
 
 
 class SplitMix64:
@@ -61,6 +68,41 @@ class SplitMix64:
 def sample_rng(seed: int, index: int) -> SplitMix64:
     """Generator for the index-th sample; independent of chunking."""
     return SplitMix64((seed + index) & _MASK64)
+
+
+def _pack(values) -> int:
+    """values, each below 2^64, as one int: value i in bits 128i..128i+63."""
+    lanes = array("Q", bytes(16 * len(values)))
+    lanes[::2] = array("Q", values)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+def _splitmix_columns(start: int, n: int, words: int) -> list:
+    """Words 1..words of sample_rng(start, i) for i < n, one array per word.
+
+    Word t of sample_rng(start, i) is the SplitMix mix of the state
+    start + i + t*gamma.  One int holds the n states of word t as 128-bit
+    lanes, and each xor-shift or multiply step acts on every lane at once.
+    A lane's product by a 64-bit constant stays below 2^128, and the lane
+    mask after each step keeps the 64 bits a lane owns, clearing what a
+    right shift pulls down from the lane above.  The last step's
+    pulled-down bits land in a lane's high half, which unpacking drops.
+    """
+    ones = _pack([1] * n)
+    ramp = _pack(range(n))
+    low = ones * _MASK64
+    columns = []
+    for t in range(1, words + 1):
+        z = (((start + t * _GAMMA) & _MASK64) * ones + ramp) & low
+        z = (((z ^ (z >> 30)) & low) * _MIX1) & low
+        z = (((z ^ (z >> 27)) & low) * _MIX2) & low
+        lanes = array("Q", (z ^ (z >> 31)).to_bytes(16 * n, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        columns.append(lanes[::2])
+    return columns
 
 
 @dataclass(frozen=True)
@@ -201,6 +243,10 @@ def _cases(spec: SweepSpec, field: Field, lo: int, hi: int):
     sample_rng(seed, j) and uniformly inside the windows, a_exps, then r0,
     then the other r, then one m; a criterion that needs equal gcds draws
     the other r from the r window's exponents whose gcd with (q−1)/ell is r0's.
+    The draws are made a block of samples at a time: `_splitmix_columns`
+    gives each of a sample's 2*ell + 1 words as a column over the block,
+    one comprehension takes each column into its window, and zip turns the
+    columns back into samples, bit for bit sample_rng's.
     """
     a_window, r_window, m_window = map(
         _span, (spec.a_exp_range, spec.r_range, spec.m_range)
@@ -212,29 +258,30 @@ def _cases(spec: SweepSpec, field: Field, lo: int, hi: int):
         return
     ell = spec.ell
     s = (field.q - 1) // ell
-    buckets = None
+    pool_of = None  # the equal-gcd bucket each r0 draws its other r from
     if CRITERIA[spec.criterion].equal_gcds:
         buckets = {}
         for r in r_window:
             buckets.setdefault(math.gcd(r, s), []).append(r)
-    # Word t of sample_rng(seed, j) is the SplitMix mix of seed + j +
-    # t*gamma; a sample takes ell words for a_exps, ell for rs and 1 for m.
-    gammas = [t * _GAMMA for t in range(1, 2 * ell + 2)]
+        pool_of = {r: buckets[math.gcd(r, s)] for r in r_window}
     n_a, n_r, n_m = len(a_window), len(r_window), len(m_window)
-    for index in range(lo, hi):
-        base = spec.seed + index
-        words = []
-        for gamma in gammas:
-            z = (base + gamma) & _MASK64
-            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            words.append(z ^ (z >> 31))
-        a_exps = tuple([a_window[w % n_a] for w in words[:ell]])
-        r0 = r_window[words[ell] % n_r]
-        others = r_window if buckets is None else buckets[math.gcd(r0, s)]
-        n_o = len(others)
-        rs = (r0, *[others[w % n_o] for w in words[ell + 1:-1]])
-        yield index, a_exps, rs, (m_window[words[-1] % n_m],)
+    for start in range(lo, hi, _BLOCK):
+        n = min(_BLOCK, hi - start)
+        # a sample takes ell words for a_exps, ell for rs and 1 for m
+        words = _splitmix_columns(spec.seed + start, n, 2 * ell + 1)
+        a_cols = [[a_window[w % n_a] for w in col] for col in words[:ell]]
+        r0s = [r_window[w % n_r] for w in words[ell]]
+        if pool_of is None:
+            r_cols = [[r_window[w % n_r] for w in col]
+                      for col in words[ell + 1:-1]]
+        else:
+            pools = [pool_of[r0] for r0 in r0s]
+            r_cols = [[pool[w % len(pool)] for pool, w in zip(pools, col)]
+                      for col in words[ell + 1:-1]]
+        ms = [(m_window[w % n_m],) for w in words[-1]]
+        # r0s leads the zip: with ell = 1 there is no other r column
+        yield from zip(range(start, start + n), zip(*a_cols),
+                       zip(r0s, *r_cols), ms)
 
 
 def differential_verify(spec: SweepSpec, *, criterion_fn=None, jobs: int = 1,

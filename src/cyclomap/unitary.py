@@ -34,11 +34,11 @@ from .errors import (
     HypothesisViolated,
     IndexNotDividingOrder,
     RootOnUnitCircle,
+    _check_cap,
 )
 from .gf import Field, make_field, split_prime_power
 from .mto1 import (
     CriterionVerdict,
-    _check_cap,
     _counted_report,
     criterion_equal_d,
     criterion_l2,

@@ -43,6 +43,8 @@ from cyclomap.mto1 import (
     cor62,
 )
 
+from cyclomap.notation import element_json
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -247,6 +249,38 @@ def test_unit_commands_past_the_circle_cap_end_in_a_fresh_process(argv):
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
     assert proc.stderr.endswith(" unit-circle points, more than the cap 4194304\n")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--field", "1000000000000000003", "--poly", "x^100000000000000000"],
+    ["unit-classify", "--q", "1000000000000000003", "--r", "1",
+     "--h", "1+x^100000000000000000"],
+])
+def test_a_power_past_the_dense_cap_ends_in_a_fresh_process(argv):
+    # x^E was built by repeated dense products and ran unbounded; a monomial
+    # now folds its exponent, and the folded degree meets the cap
+    proc = fresh_cli(argv, timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(
+        " dense polynomial coefficients, more than the cap 4194304\n")
+
+
+@pytest.mark.parametrize("field_id, branches", [
+    ("2^6", "1:5,g:9,g^40:1"),
+    ("3^4", "g^79:2,1:4"),
+    ("13", "1:2,-1:4"),
+    ("2^40", "g^5:7,g:1,1:7"),
+])
+def test_cyc_classify_prints_branch_constants_from_their_logs(field_id, branches):
+    # the constants come from the map's logs, in element_json's form
+    F = field_from_id(field_id)
+    ell = len(branches.split(","))
+    code, out, _ = run_cli(["--json", "cyc-classify", "--field", field_id,
+                            "--ell", str(ell), "--branches", branches])
+    assert code == 0
+    expected = [[element_json(F, a), r] for a, r in parse_branches(branches, F)]
+    assert json.loads(out)["branches"] == expected
 
 
 def test_cyc_classify_degree_40_in_a_fresh_process():

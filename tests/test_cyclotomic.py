@@ -2,6 +2,8 @@ import pytest
 
 from cyclomap import (
     BranchMap,
+    Field,
+    GroupContext,
     Polynomial,
     RelationKind,
     classify_branch_map,
@@ -11,8 +13,10 @@ from cyclomap import (
     multiplicative_group,
     parse_polynomial,
     subgroup_of_order,
+    unit_circle,
 )
 from cyclomap.errors import (
+    CapExceeded,
     ConstraintViolated,
     IndexNotDividingOrder,
     NotInGroup,
@@ -403,6 +407,64 @@ def test_polynomial_eval_and_algebra(f13):
         assert prod.eval(x) == f13.mul(a.eval(x), b.eval(x))
     assert (a - a).is_zero()
     assert (a ** 2) == a * a
+
+
+def _product_power(poly, e):
+    """poly**e by e - 1 products, the dense reference."""
+    out = Polynomial(poly.field, (1,))
+    for _ in range(e):
+        out = out * poly
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (5, 2), (2, 6)])
+def test_monomial_power_folds_its_exponent(p, n):
+    F = make_field(p, n)
+    for c, k in ((1, 1), (F.generator, 3), (F.exp_at(5), 0), (1, F.q - 1)):
+        mono = Polynomial.from_terms(F, {k: c})
+        for e in range(0, 2 * F.q + 3):
+            assert mono ** e == _product_power(mono, e)
+    assert Polynomial(F, ()) ** 0 == Polynomial(F, (1,))
+    assert (Polynomial(F, ()) ** 7).is_zero()
+
+
+def test_power_refuses_a_dense_degree_past_the_cap():
+    F = make_field(1000000000000000003)
+    x = Polynomial(F, (0, 1))
+    # a monomial folds, and its degree is capped like any dense polynomial
+    assert (x ** (F.q + 4)).coeffs == (0, 0, 0, 0, 0, 1)
+    with pytest.raises(CapExceeded, match="dense polynomial coefficients"):
+        x ** 100000000000000000
+    one_plus_x = Polynomial(F, (1, 1))
+    with pytest.raises(CapExceeded, match="dense polynomial coefficients"):
+        one_plus_x ** (1 << 22)
+    assert (one_plus_x ** 3).coeffs == (1, 3, 3, 1)
+
+
+@pytest.mark.parametrize("p, n, log_threshold", [
+    (13, 1, None), (5, 2, None), (2, 6, None), (3, 4, None), (2, 12, 1 << 4),
+])
+def test_default_subgroup_generator_log_needs_no_dlog(p, n, log_threshold):
+    # the old path took the default generator's log by a discrete log
+    kw = {} if log_threshold is None else {"log_threshold": log_threshold}
+    F = make_field(p, n, **kw)
+    for order in divisors(F.q - 1):
+        new = subgroup_of_order(F, order)
+        old = GroupContext(F, order, F.exp_at((F.q - 1) // order))
+        assert new.generator == old.generator
+        assert (new._gen_log, new._log_factor) == (old._gen_log, old._log_factor)
+
+
+def test_unit_circle_without_tables_takes_no_dlog(monkeypatch):
+    F = make_field(1021, 2, log_threshold=1 << 10)
+    assert not F.has_log_table
+
+    def no_dlog(self, a):
+        raise AssertionError("dlog called")
+
+    monkeypatch.setattr(Field, "dlog", no_dlog)
+    unit = unit_circle(F, 1021)
+    assert unit.order == 1022 and unit.element(1) == unit.generator
 
 
 def _dense_eval(poly, x):

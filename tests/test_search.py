@@ -16,12 +16,14 @@ from cyclomap import (
 )
 from cyclomap.errors import CapExceeded
 from cyclomap.mto1 import (
+    CRITERIA,
     CriterionVerdict,
     branch_map_valid_ms,
     criterion_equal_d,
     criterion_l2,
 )
-from cyclomap.search import SplitMix64, sample_rng
+from cyclomap.notation import field_from_id
+from cyclomap.search import _BLOCK, SplitMix64, _cases, sample_rng
 
 
 def test_splitmix_reference_stream():
@@ -40,6 +42,57 @@ def test_sample_rng_is_chunk_invariant():
     a = [sample_rng(9, i).next_u64() for i in range(10)]
     b = [sample_rng(9, i).next_u64() for i in range(5, 10)]
     assert a[5:] == b
+
+
+def _reference_cases(spec, field, lo, hi):
+    """`_cases` of a normalized random spec, drawn one word at a time from
+    sample_rng: a_exps, r0, the other r (from r0's gcd bucket when the
+    criterion needs equal gcds), then m."""
+    a_window, r_window, m_window = (range(w[0], w[1] + 1) for w in (
+        spec.a_exp_range, spec.r_range, spec.m_range))
+    s = (field.q - 1) // spec.ell
+    for j in range(lo, hi):
+        rng = sample_rng(spec.seed, j)
+        a_exps = tuple(a_window[rng.randrange(len(a_window))]
+                       for _ in range(spec.ell))
+        r0 = r_window[rng.randrange(len(r_window))]
+        pool = r_window
+        if CRITERIA[spec.criterion].equal_gcds:
+            pool = [r for r in r_window if math.gcd(r, s) == math.gcd(r0, s)]
+        rs = (r0, *(pool[rng.randrange(len(pool))] for _ in range(spec.ell - 1)))
+        yield j, a_exps, rs, (m_window[rng.randrange(len(m_window))],)
+
+
+_NARROW = {"r_range": (3, 8), "a_exp_range": (4, 9), "m_range": (2, 5)}
+
+
+@pytest.mark.parametrize("criterion, field_id, ell, seed, lo, hi, windows", [
+    # two full blocks and a tail
+    ("l2", "13", 2, 3, 0, 2 * _BLOCK + 37, {}),
+    # chunk starts off a block boundary
+    ("l3", "13", 3, 42, 7, _BLOCK + 300, {}),
+    ("l2", "5^2", 2, 5, _BLOCK - 3, _BLOCK + 4, _NARROW),
+    # states that wrap past 2^64 inside a block, and seeds above it
+    ("l2", "17", 2, 2 ** 64 - _BLOCK, 0, _BLOCK + 9, {}),
+    ("l2", "17", 2, 2 ** 64 + 5, 11, 400, _NARROW),
+    ("l3", "13", 3, 2 ** 70 + 1, 0, 300, {}),
+    # ell = 1 draws no other r; ell = q - 1 has singleton cosets
+    ("2to1", "13", 1, 9, 0, _BLOCK + 5, {}),
+    ("2to1", "13", 12, 9, 5, 400, {}),
+    ("equal-d", "17", 1, 4, 0, 300, _NARROW),
+    ("equal-d", "13", 12, 4, 0, 300, {}),
+    # equal-gcd buckets, over the default and a narrowed r window
+    ("equal-d", "13", 3, 3, 0, _BLOCK + 50, {}),
+    ("equal-d", "5^2", 4, 2 ** 64 - 700, 3, 900, _NARROW),
+])
+def test_packed_stream_equals_sample_rng(criterion, field_id, ell, seed, lo, hi,
+                                         windows):
+    field = field_from_id(field_id)
+    spec = SweepSpec(criterion=criterion, field_id=field_id, ell=ell,
+                     mode="random", samples=hi, seed=seed,
+                     **{"r_range": (None, None), **windows}).normalized(field)
+    assert list(_cases(spec, field, lo, hi)) == list(
+        _reference_cases(spec, field, lo, hi))
 
 
 def test_exhaustive_sweep_zero_mismatches_small():
