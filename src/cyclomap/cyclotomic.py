@@ -55,12 +55,9 @@ class GroupContext:
         self.order = order
         self.generator = generator
         self.index = (field.q - 1) // order
-        if generator == field.generator:
-            e = 1
-        elif gen_log is None:
-            e = field.dlog(generator)
-        else:
-            e = gen_log
+        e = gen_log
+        if e is None:
+            e = 1 if generator == field.generator else field.dlog(generator)
         if e % self.index or math.gcd(e // self.index, order) != 1:
             raise NotPrimitive(f"generator does not have exact order {order}")
         self._gen_log = e

@@ -23,7 +23,7 @@ from cyclomap.mto1 import (
     criterion_l2,
 )
 from cyclomap.notation import field_from_id
-from cyclomap.search import _BLOCK, SplitMix64, _cases, sample_rng
+from cyclomap.search import _BLOCK, _GAMMA, SplitMix64, _cases, sample_rng
 
 
 def test_splitmix_reference_stream():
@@ -72,8 +72,10 @@ _NARROW = {"r_range": (3, 8), "a_exp_range": (4, 9), "m_range": (2, 5)}
     # chunk starts off a block boundary
     ("l3", "13", 3, 42, 7, _BLOCK + 300, {}),
     ("l2", "5^2", 2, 5, _BLOCK - 3, _BLOCK + 4, _NARROW),
-    # states that wrap past 2^64 inside a block, and seeds above it
+    # seeds near and above 2^64, and word 1's states wrapping past 2^64
+    # at lane 700 of the first block
     ("l2", "17", 2, 2 ** 64 - _BLOCK, 0, _BLOCK + 9, {}),
+    ("l2", "17", 2, (-_GAMMA - 700) % 2 ** 64, 0, _BLOCK + 9, {}),
     ("l2", "17", 2, 2 ** 64 + 5, 11, 400, _NARROW),
     ("l3", "13", 3, 2 ** 70 + 1, 0, 300, {}),
     # ell = 1 draws no other r; ell = q - 1 has singleton cosets
