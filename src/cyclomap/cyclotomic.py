@@ -155,9 +155,6 @@ class Polynomial:
             coeffs[e] = c
         return cls(field, coeffs)
 
-    def terms(self):
-        return tuple((e, self.coeffs[e]) for e in self._support)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -296,9 +293,6 @@ class CosetDecomposition:
         self.index = index
         self.coset_size = ctx.order // index
 
-    def coset_of(self, x: int) -> int:
-        return self.ctx.dlog(x) % self.index
-
     def coset(self, i: int):
         """Lazy iterator over the i-th coset."""
         self.ctx.field._load_tables()
@@ -323,26 +317,6 @@ def decompose(ctx: GroupContext, index: int) -> CosetDecomposition:
 class Branch(NamedTuple):
     scale: int
     exponent: int
-
-
-class BranchImage(NamedTuple):
-    """Closed-form description of one branch's image set."""
-
-    target_coset: int
-    multiplicity: int
-    size: int
-    base_exp: int
-    step: int
-    ctx: GroupContext
-
-    @property
-    def elements(self) -> frozenset[int]:
-        self.ctx.field._load_tables()
-        N = self.ctx.order
-        return frozenset(
-            self.ctx.element((self.base_exp + j * self.step) % N)
-            for j in range(self.size)
-        )
 
 
 class RelationKind(Enum):
@@ -430,24 +404,10 @@ class BranchMap:
         """Branch i's offset i*r_i + log a_i (as the criteria read it) mod n."""
         return self._offsets[i] % n
 
-    def target_coset(self, i: int) -> int:
-        return self._offsets[i] % self.decomp.index
-
     # -- image analysis ---------------------------------------------------------
 
-    def branch_image(self, i: int) -> BranchImage:
-        d = self.multiplicities[i]
-        return BranchImage(
-            target_coset=self.target_coset(i),
-            multiplicity=d,
-            size=self.decomp.coset_size // d,
-            base_exp=self._offsets[i] % self.decomp.ctx.order,
-            step=self.decomp.index * d,
-            ctx=self.decomp.ctx,
-        )
-
     def relation(self, i: int, j: int) -> BranchRelation:
-        """Classify image(i) against image(j) and describe the intersection."""
+        """Classify image(i) against image(j) and list the intersection (image(i) if i == j)."""
         ell = self.decomp.index
         if not (0 <= i < ell and 0 <= j < ell):
             raise ValueError(f"branch indices {i}, {j} must lie in 0..{ell - 1}")

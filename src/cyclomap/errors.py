@@ -105,7 +105,8 @@ class CapExceeded(CyclomapError):
 
 # A walk or a dense table past this many entries is refused rather than
 # allowed to exhaust memory or time: `classify_branch_map`'s residue
-# classes, the points the counting report and wrapped maps walk, and the
+# classes, the points of a branch map's fiber table (`mto1._fiber_sizes`),
+# the points `classify` and `lift` evaluate, the unit circle, and the
 # coefficients of a dense polynomial.
 _MAX_RESIDUES = 1 << 22
 

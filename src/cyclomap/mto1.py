@@ -143,11 +143,12 @@ def _fiber_sizes(bm: BranchMap) -> bytes | list[int]:
     a packed int; a map's fiber sizes are the sum over its cosets of that
     int shifted by start mod N bytes, with the bytes past N folded back
     once.  No fiber exceeds N, so no byte carries.  Larger groups count
-    `bm.eval_exp` at every point into a list.
+    `bm.eval_exp` at every point into a list, up to `_MAX_RESIDUES` points.
     """
     decomp = bm.decomp
     N = decomp.ctx.order
     if N > _PACKED_MAX_ORDER:
+        _check_cap(N, "points to count")
         sizes = [0] * N
         for e in map(bm.eval_exp, range(N)):
             sizes[e] += 1
@@ -231,7 +232,6 @@ def _counted_report(bm: BranchMap) -> Mto1Report:
     """`classify_branch_map` from `_fiber_sizes`, which counts every point, for
     the paths that compare against brute force; CapExceeded past `_MAX_RESIDUES`."""
     ctx = bm.decomp.ctx
-    _check_cap(ctx.order, "points to count")
     sizes = _fiber_sizes(bm)
 
     def exceptional(m: int) -> tuple[int, ...]:
@@ -245,16 +245,15 @@ def classify_polynomial(poly: Polynomial, domain: str | tuple = "fqstar") -> Mto
     """Oracle classification of a polynomial over F_q, F_q*, or an explicit
     set (an element listed twice is counted once)."""
     F = poly.field
-    F._load_tables()  # evaluates at every domain point
-    if domain == "fq":
-        dom = range(F.q)
-    elif domain == "fqstar":
-        dom = range(1, F.q)
+    if domain in ("fq", "fqstar"):
+        dom = range(0 if domain == "fq" else 1, F.q)
+        _check_cap(F.q - dom.start, "points to count")
     else:
         dom = tuple(dict.fromkeys(domain))
         for x in dom:
             if not F.contains(x):
                 raise DomainElementOutsideField(f"{x} is not in {F!r}")
+    F._load_tables()  # evaluates at every domain point
 
     def order_key(x):
         return -1 if x == 0 else F.dlog(x)
@@ -307,6 +306,7 @@ def lift_to_full_field(fn, field, m: int) -> CriterionVerdict:
         raise UnsupportedContext(f"lifting to GF({field.q}) needs a polynomial over that field")
     else:
         evaluate = fn.eval if isinstance(fn, Polynomial) else fn
+        _check_cap(field.q, "points to count")
         field._load_tables()  # evaluates at every point
 
         def image(x):
@@ -440,13 +440,10 @@ def criterion_2to1_any_l(bm: BranchMap) -> CriterionVerdict:
     """2-to-1 on the group for any number of branches."""
     ell = bm.decomp.index
     N = bm.decomp.ctx.order
-    s = bm.decomp.coset_size
     d = bm.multiplicities
     off = bm._offsets
     if N < 2:
         return _na("group too small for m=2")
-    if ell == 1:
-        return _yes("power map with gcd 2") if d[0] == 2 else _no("gcd(r0, N) != 2")
     if ell == N:
         vals = [off[i] % ell for i in range(ell)]
         if _def_mto1_on_values(vals, 2):

@@ -7,6 +7,7 @@ against the brute-force classification over the stated sweeps.
 
 import hashlib
 import math
+import os
 import time
 
 import pytest
@@ -157,7 +158,8 @@ def test_acceptance_06_differential_two_branch():
     for field_id in ("5", "3^2", "13"):
         rep = differential_verify(
             SweepSpec(criterion="l2", field_id=field_id, ell=2,
-                      r_range=(1, int_q(field_id) - 1))
+                      r_range=(1, int_q(field_id) - 1)),
+            jobs=os.cpu_count(),
         )
         assert rep.mismatches == [], field_id
         reports.append(rep)
@@ -165,7 +167,8 @@ def test_acceptance_06_differential_two_branch():
         rep = differential_verify(
             SweepSpec(criterion="l2", field_id=field_id, ell=2,
                       r_range=(1, int_q(field_id) - 1),
-                      mode="random", samples=10_000, seed=42)
+                      mode="random", samples=10_000, seed=42),
+            jobs=os.cpu_count(),
         )
         assert rep.mismatches == [], field_id
         reports.append(rep)
@@ -187,7 +190,8 @@ def test_acceptance_07_differential_three_branch():
     for field_id in ("13", "2^4"):
         rep = differential_verify(
             SweepSpec(criterion="l3", field_id=field_id, ell=3,
-                      r_range=(1, 6), cap=50_000_000)
+                      r_range=(1, 6), cap=50_000_000),
+            jobs=os.cpu_count(),
         )
         assert rep.mismatches == [], field_id
         reports.append(rep)
@@ -195,7 +199,8 @@ def test_acceptance_07_differential_three_branch():
         rep = differential_verify(
             SweepSpec(criterion="l3", field_id=field_id, ell=3,
                       r_range=(1, int_q(field_id) - 1),
-                      mode="random", samples=10_000, seed=42)
+                      mode="random", samples=10_000, seed=42),
+            jobs=os.cpu_count(),
         )
         assert rep.mismatches == [], field_id
         reports.append(rep)
@@ -223,7 +228,7 @@ def test_acceptance_08_differential_2to1_any_index():
                 spec = SweepSpec(criterion="2to1", field_id=field_id, ell=ell,
                                  r_range=(1, int_q(field_id) - 1),
                                  mode="random", samples=10_000, seed=42)
-            rep = differential_verify(spec)
+            rep = differential_verify(spec, jobs=os.cpu_count())
             assert rep.mismatches == [], (field_id, ell)
             reports.append(rep)
     _assert_pinned(reports, "566446129161e537a4e37e15bd138fe0002cc5f260a14025fcb61e059808ebbc")
@@ -240,7 +245,8 @@ def test_acceptance_09_differential_equal_multiplicity():
             rep = differential_verify(
                 SweepSpec(criterion="equal-d", field_id=field_id, ell=ell,
                           r_range=(1, q - 1), mode="random",
-                          samples=10_000, seed=42)
+                          samples=10_000, seed=42),
+                jobs=os.cpu_count(),
             )
             assert rep.mismatches == [], (field_id, ell)
             reports.append(rep)
@@ -457,11 +463,11 @@ def test_acceptance_12_property_suites():
 
 def _trichotomy(bm):
     ell = bm.decomp.index
+    images = [{bm.eval(x) for x in bm.decomp.coset(i)} for i in range(ell)]
     for i in range(ell):
         for j in range(ell):
             rel = bm.relation(i, j)
-            img_i = bm.branch_image(i).elements
-            img_j = bm.branch_image(j).elements
+            img_i, img_j = images[i], images[j]
             inter = img_i & img_j
             assert rel.intersection_elements == inter
             from cyclomap import RelationKind
@@ -494,10 +500,28 @@ def test_acceptance_13_differential_branches_items_06_to_09_miss():
     ]
     reports = []
     for spec in specs:
-        rep = differential_verify(spec)
+        rep = differential_verify(spec, jobs=os.cpu_count())
         assert rep.mismatches == [], spec
         reports.append(rep)
     assert [rep.total_cases for rep in reports] == [144, 256, 10_000, 10_000, 4, 16, 20_000]
     _assert_pinned(reports, "e17cf582440a9193a3d1c90f778281cd1eb333a1d1c923a098cf27b5a034281e")
     elapsed = time.perf_counter() - start
     _report(13, "criterion branches beyond items 6-9 vs oracle", elapsed, 60)
+
+
+def test_acceptance_14_differential_l3_clause_3_bound():
+    # exhaustive l3 at GF(5^2), s = 8: r in [2, 4] gives di = 2 and
+    # dj = dk = 4 at m = 6, where clause 3's bound (s/dj)(dj - 2*di) < m
+    # reads 0 < 6, and the bound with 2 // di in place of 2 * di reads
+    # 6 < 6: that mutant gives 576 mismatches here and none in the l3
+    # sweeps of acceptance 07 and 13
+    start = time.perf_counter()
+    rep = differential_verify(
+        SweepSpec(criterion="l3", field_id="5^2", ell=3, r_range=(2, 4), m_range=(6, 6)),
+        jobs=os.cpu_count(),
+    )
+    assert rep.mismatches == []
+    assert rep.total_cases == 373_248
+    _assert_pinned([rep], "5412463123d41588a0d42df35564c54bd0c5a9021474ff57b562315952b9b52e")
+    elapsed = time.perf_counter() - start
+    _report(14, "three-branch criterion at clause 3's bound vs oracle", elapsed, 60)

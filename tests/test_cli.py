@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -266,6 +267,22 @@ def test_a_power_past_the_dense_cap_ends_in_a_fresh_process(argv):
         " dense polynomial coefficients, more than the cap 4194304\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--field", "1000000000000000003", "--poly", "x^3"],
+    ["crit", "--theorem", "lift", "--field", "8388617", "--poly", "x^3", "--m", "3"],
+    ["classify", "--field", "2^89", "--poly", "x^3"],
+    ["enumerate", "--field", "2^23", "--ell", "1", "--m", "1", "--limit", "1"],
+])
+def test_a_walk_past_the_point_cap_ends_in_a_fresh_process(argv):
+    # classify and lift evaluated the map at every point of the field, and
+    # enumerate counted every point of each map; each now stops at the cap,
+    # counted from q (len(range(q)) overflows past 2^63)
+    proc = fresh_cli(argv, timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(" points to count, more than the cap 4194304\n")
+
+
 @pytest.mark.parametrize("field_id, branches", [
     ("2^6", "1:5,g:9,g^40:1"),
     ("3^4", "g^79:2,1:4"),
@@ -484,12 +501,40 @@ def test_crit_specialized_paths():
     assert code == 0 and json.loads(out)["witness"] == "mixed clause"
 
 
+def test_verify_prints_three_summary_lines_and_elapsed_under_stats():
+    argv = ["verify", "--criterion", "l2", "--field", "13", "--ell", "2",
+            "--r-min", "1", "--r-max", "6"]
+    _, out, _ = run_cli(["--json", *argv])
+    payload = json.loads(out)
+    summary = [
+        "criterion l2 on GF(13), ell=2, mode=exhaustive",
+        f"cases: {payload['total_cases']} ({payload['applicable_cases']} applicable)",
+        "mismatches: 0",
+    ]
+    code, out, _ = run_cli(argv)
+    assert (code, out.splitlines()) == (0, summary)
+    code, out, _ = run_cli([*argv, "--stats"])
+    lines = out.splitlines()
+    assert (code, lines[:3], len(lines)) == (0, summary, 4)
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds", lines[3]), lines[3]
+
+
 def test_verify_parallel_jobs_equals_serial():
     base = ["--json", "verify", "--criterion", "l2", "--field", "13",
             "--ell", "2", "--r-min", "1", "--r-max", "6"]
     _, serial, _ = run_cli(base)
     _, parallel, _ = run_cli(base + ["--jobs", "2"])
     assert json.loads(serial) == json.loads(parallel)
+
+
+def test_crit_2to1_on_the_group_of_order_1_is_not_applicable():
+    # GF(2)* has one element, so no map on it is 2-to-1: crit exits 2
+    verdict = criterion_2to1_any_l(_bm("2", 1, "1:1"))
+    assert verdict == (False, None, "group too small for m=2")
+    code, out, _ = run_cli(["--json", "crit", "--theorem", "2to1", "--field", "2",
+                            "--ell", "1", "--branches", "1:1"])
+    assert code == 2
+    assert json.loads(out)["witness"] == "group too small for m=2"
 
 
 def test_crit_lift_and_seeded_verify():

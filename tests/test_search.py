@@ -208,6 +208,15 @@ def test_random_equal_d_keeps_the_bucket_stream():
     assert _recorded_draws(spec, criterion_equal_d) == expected
 
 
+def test_exhaustive_sweep_skips_maps_outside_the_criterion_hypothesis():
+    # equal-d raises UnequalGcds on a map whose gcds differ; the sweep
+    # counts that case and goes on
+    rep = differential_verify(SweepSpec(criterion="equal-d", field_id="7", ell=2,
+                                        r_range=(1, 6), a_exp_range=(0, 1)))
+    assert rep.mismatches == []
+    assert 0 < rep.applicable_cases < rep.total_cases
+
+
 @pytest.mark.parametrize("criterion, windows, expected", [
     ("l2", {"r_range": (None, 3)}, {"r_range": (1, 3)}),
     ("l2", {"r_range": (5, None)}, {"r_range": (5, 12)}),
@@ -355,7 +364,7 @@ def test_sweep_ad_hoc_sufficient_conditions():
             dec,
             [(F.exp_at(rng.randrange(16)), 1 + rng.randrange(16)) for _ in range(4)],
         )
-        images = [bm.branch_image(i).elements for i in range(4)]
+        images = [{bm.eval(x) for x in bm.decomp.coset(i)} for i in range(4)]
         disjoint = all(
             not (images[i] & images[j]) for i in range(4) for j in range(i + 1, 4)
         )
