@@ -105,9 +105,9 @@ class CapExceeded(CyclomapError):
 
 # A walk or a dense table past this many entries is refused rather than
 # allowed to exhaust memory or time: `classify_branch_map`'s residue
-# classes, the points of a branch map's fiber table (`mto1._fiber_sizes`),
-# the points `classify` and `lift` evaluate, the unit circle, and the
-# coefficients of a dense polynomial.
+# classes, the points of a branch map's fiber table and the lanes of its
+# step store (`mto1._fiber_sizes`), the points `classify`, `lift` and
+# `enumerate` count, the unit circle, and dense polynomial coefficients.
 _MAX_RESIDUES = 1 << 22
 
 

@@ -5,9 +5,9 @@ exactly k image points have exactly m preimages; the r leftover domain
 points form the exceptional set.  `classify_pairs`, `classify_callable`,
 `classify_polynomial` and `branch_map_valid_ms` count preimages directly
 (the oracle).  A branch map's points are counted in one place,
-`_fiber_sizes`, into a table of fiber sizes by image exponent: one byte
-each for a group of order at most 255 (sums of shifted per-step counts in
-a packed int), a list above that.  `branch_map_valid_ms`, the oracle of
+`_fiber_sizes`, into a table of fiber sizes by image exponent, summed from
+packed per-step counts in lanes sized from the group order, for every
+group of at most 2^22 points.  `branch_map_valid_ms`, the oracle of
 every sweep, and `_counted_report`, the counting report, both read that
 table; every report is filled from one fiber-size histogram.
 `classify_branch_map` is exact from residue classes in O(L), L = index *
@@ -21,6 +21,8 @@ against the oracle.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from typing import Callable, NamedTuple
 
@@ -32,6 +34,7 @@ from .errors import (
     UnsupportedContext,
     WrongIndex,
     _check_cap,
+    _MAX_RESIDUES,
 )
 from .gf import make_field, split_prime_power
 
@@ -112,56 +115,71 @@ def classify_callable(fn: Callable[[int], int], domain, order_key=None) -> Mto1R
     return classify_pairs(((x, fn(x)) for x in domain), order_key)
 
 
-# The packed count holds one fiber size per byte, so it serves groups
-# whose largest possible fiber, the whole group, fits in a byte.
-_PACKED_MAX_ORDER = 255
-# (N, ell) -> packed step counts, indexed by r mod s (s = N // ell): byte e
-# of entry j counts the t < s with t * ell*j = e (mod N), and ell*j is the
-# step ell*r mod N of a coset whose exponent is r.
-_STEP_COUNTS: dict[tuple[int, int], tuple[int, ...]] = {}
+class _StepStore(dict):
+    """(N, ell) -> (lane width in bits, lane typecode, steps) for a group of
+    order N at index ell.  A lane is the narrowest array item that holds N,
+    the largest fiber.  steps[j] is 0 until `walk` packs the counts of the
+    step ell*j mod N, taken by a coset whose exponent is j (mod s).  `lanes`
+    counts the lanes of the steps held, never more than `_MAX_RESIDUES`."""
 
+    lanes = 0
 
-def _step_counts(N: int, ell: int) -> tuple[int, ...]:
-    s = N // ell
-    packed = []
-    for j in range(s):
-        counts = bytearray(N)
-        for t in range(s):
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, str, list[int]]:
+        N, ell = key
+        _check_cap(N, "points to count")
+        code = next(c for c in "BHIL" if N >> 8 * array(c).itemsize == 0)
+        self[key] = entry = (8 * array(code).itemsize, code, [0] * (N // ell))
+        return entry
+
+    def walk(self, N: int, ell: int, j: int) -> int:
+        """Step ell*j mod N packed, from its s points: lane e counts the
+        t < s with t*ell*j = e (mod N).  If it would take the store past
+        `_MAX_RESIDUES` lanes, every table is emptied first."""
+        if self.lanes + N > _MAX_RESIDUES:
+            for _, _, steps in self.values():
+                steps[:] = [0] * len(steps)
+            self.lanes = 0
+        _, code, steps = self[N, ell]
+        counts = array(code, [0]) * N
+        for t in range(N // ell):
             counts[t * ell * j % N] += 1
-        packed.append(int.from_bytes(counts, "little"))
-    _STEP_COUNTS[N, ell] = table = tuple(packed)
-    return table
+        if sys.byteorder == "big":  # lanes are packed little-endian
+            counts.byteswap()
+        steps[j] = packed = int.from_bytes(counts, "little")
+        self.lanes += N
+        return packed
 
 
-def _fiber_sizes(bm: BranchMap) -> bytes | list[int]:
+_STEPS = _StepStore()
+
+
+def _fiber_sizes(bm: BranchMap) -> bytes | array:
     """sizes[e] = how many group points bm sends to exponent e, for e < N;
     the only code that counts a branch map's points.
 
     Coset i sends its s points to start + t*step (mod N), t < s, with
-    start = i*r_i + log a_i and step = ell*r_i mod N.  For N <= 255 the
-    images of one step are counted once, one byte per image exponent, in
-    a packed int; a map's fiber sizes are the sum over its cosets of that
-    int shifted by start mod N bytes, with the bytes past N folded back
-    once.  No fiber exceeds N, so no byte carries.  Larger groups count
-    `bm.eval_exp` at every point into a list, up to `_MAX_RESIDUES` points.
+    start = i*r_i + log a_i and step = ell*r_i mod N.  The table is the sum
+    over the cosets of the step's packed counts (`_StepStore`) shifted by
+    start mod N lanes, with the lanes past N folded back once; no fiber
+    exceeds N, so no lane carries.  It is bytes for one-byte lanes, an
+    array above; a group of more than `_MAX_RESIDUES` points is refused.
     """
     decomp = bm.decomp
-    N = decomp.ctx.order
-    if N > _PACKED_MAX_ORDER:
-        _check_cap(N, "points to count")
-        sizes = [0] * N
-        for e in map(bm.eval_exp, range(N)):
-            sizes[e] += 1
-        return sizes
-    ell = decomp.index
-    steps = _STEP_COUNTS.get((N, ell)) or _step_counts(N, ell)
-    s = decomp.coset_size
-    total = 0
-    for r, start in zip(bm.exponents, bm._offsets):
-        total += steps[r % s] << 8 * (start % N)
-    width = 8 * N
-    total = (total & ((1 << width) - 1)) + (total >> width)
-    return total.to_bytes(N, "little")
+    N, ell, s = decomp.ctx.order, decomp.index, decomp.coset_size
+    width, code, steps = _STEPS[N, ell]
+    total = i = 0
+    # starts as eval_exp takes them, not from bm._offsets, which the criteria read
+    for r, la in zip(bm.exponents, bm.log_scales):
+        total += (steps[r % s] or _STEPS.walk(N, ell, r % s)) << width * ((i * r + la) % N)
+        i += 1
+    fold = width * N
+    table = ((total & ((1 << fold) - 1)) + (total >> fold)).to_bytes(fold // 8, "little")
+    if width == 8:
+        return table
+    sizes = array(code, table)
+    if sys.byteorder == "big":
+        sizes.byteswap()
+    return sizes
 
 
 def branch_map_valid_ms(bm: BranchMap) -> frozenset[int]:

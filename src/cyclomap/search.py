@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from itertools import islice, product
 
 from .cyclotomic import BranchMap, CosetDecomposition, multiplicative_group
-from .errors import CapExceeded, HypothesisError
+from .errors import CapExceeded, HypothesisError, _check_cap
 from .gf import Field
 # A sweep calls its criterion through this module's binding of the
 # function's name (criterion_l2, ...), so a wrapper installed on that
@@ -382,6 +382,7 @@ def enumerate_mto1(field: Field, ell: int, m: int, a_exp_range=None,
         raise ValueError(f"m={m} exceeds the group order {field.q - 1}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit={limit} must be at least 0")
+    _check_cap(field.q - 1, "points to count")  # per map; before _lattice stores a window
     a_window = _span(_fill("a", a_exp_range, (0, field.q - 2)))
     r_window = _span(_fill("r", r_range, (1, field.q - 1)))
     decomp = CosetDecomposition(multiplicative_group(field), ell)

@@ -28,6 +28,7 @@ from cyclomap import (
 )
 from cyclomap.cyclotomic import RelationKind
 from cyclomap.errors import (
+    _MAX_RESIDUES,
     CapExceeded,
     DomainElementOutsideField,
     HypothesisViolated,
@@ -179,19 +180,20 @@ def test_oracle_matches_an_eval_recount(small_branch_maps):
             assert rep.exceptional_of(m) == tuple(want), (bm, m)
 
 
-@pytest.mark.parametrize("p, n", [(2, 8), (257, 1)])
+@pytest.mark.parametrize("p, n", [(2, 8), (257, 1), (2, 12), (8191, 1), (2, 16), (65537, 1)])
 def test_packed_oracle_at_the_byte_limit(p, n):
-    # N = 255 is the largest group packed one byte per fiber size; there
-    # ell = 1 and r = 0 fill one byte with 255.  N = 256 counts into a list,
-    # and its constant maps have a fiber of 256 points, which no byte holds.
+    # a lane holds N, the largest fiber: one byte up to N = 255, two up to
+    # 65535, four at 65536; at each N, ell = 1 and r = 0 fill one lane with N
     ctx = multiplicative_group(make_field(p, n))
     N = ctx.order
+    lane = 1 if N <= 255 else 2 if N <= 65535 else 4
     rng = SplitMix64(N)
-    for ell in divisors(N):
+    wide = N >= 4095  # fewer maps, each counted at N points
+    for ell in [e for e in divisors(N) if e <= 16] if wide else divisors(N):
         dec = decompose(ctx, ell)
         s = dec.coset_size
         maps = [((5,) * ell, (0,) * ell), ((5,) * ell, (N,) * ell)]
-        for _ in range(12):
+        for _ in range(2 if wide else 12):
             las = tuple(rng.randrange(3 * N) - N for _ in range(ell))
             rs = tuple((0, s, -1, 2 * N + 1, rng.randrange(3 * N) - N)[rng.randrange(5)]
                        for _ in range(ell))
@@ -200,10 +202,33 @@ def test_packed_oracle_at_the_byte_limit(p, n):
             bm = BranchMap(dec, log_scales=las, exponents=rs)
             recount = Counter(map(bm.eval, ctx))
             sizes = _fiber_sizes(bm)
-            assert isinstance(sizes, bytes) == (N <= 255)
+            assert memoryview(sizes).itemsize == lane and isinstance(sizes, bytes) == (lane == 1)
             assert {ctx.element(e): c for e, c in enumerate(sizes) if c} == recount
             valid = Mto1Report(recount.values(), None).valid_ms
             assert branch_map_valid_ms(bm) == valid, (N, ell, las, rs)
+
+
+def test_step_store_empties_its_tables_at_the_lane_cap(monkeypatch):
+    # 70 power maps of GF(2^16)* with distinct exponents need 70 steps of
+    # 65535 lanes, more than the cap: the store empties its tables instead
+    # of passing it, and the tables it then counts are still right
+    from cyclomap import mto1
+
+    monkeypatch.setattr(mto1, "_STEPS", mto1._StepStore())
+    ctx = multiplicative_group(make_field(2, 16))
+    N = ctx.order
+    dec = decompose(ctx, 1)
+    assert 70 * N > _MAX_RESIDUES
+    for r in range(1, 71):
+        bm = BranchMap(dec, log_scales=[r], exponents=[r])
+        sizes = _fiber_sizes(bm)
+        held = sum(n * (len(steps) - steps.count(0))
+                   for (n, _), (_, _, steps) in mto1._STEPS.items())
+        assert held == mto1._STEPS.lanes <= _MAX_RESIDUES
+        if r % 23 == 1:
+            recount = Counter(map(bm.eval, ctx))
+            assert {ctx.element(e): c for e, c in enumerate(sizes) if c} == recount
+    assert 0 < mto1._STEPS.lanes < 70 * N
 
 
 def _assert_residue_report_is_the_count(bm) -> int:
@@ -287,7 +312,7 @@ def test_residue_classifier_matches_the_count_on_random_maps():
 
 @pytest.mark.parametrize("p, n", [(257, 1), (2, 9)])
 def test_residue_classifier_matches_the_count_past_the_byte_limit(p, n):
-    # groups of order 256 and 511, whose fiber tables are lists
+    # groups of order 256 and 511, whose fiber tables have two-byte lanes
     F = make_field(p, n)
     N = F.q - 1
     rng = SplitMix64(N)

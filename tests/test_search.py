@@ -415,6 +415,19 @@ def test_enumerate_walks_its_windows_lazily():
     assert peak < 1 << 20, peak
 
 
+def test_enumerate_refuses_a_field_past_the_point_cap_before_its_lattice(monkeypatch):
+    # every map of GF(2^23)* counts 2^23 - 1 points; the lattice once stored
+    # both 8388607-value windows (659 MB) before the first map met the cap
+    from cyclomap import search
+
+    def refuse(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(search, "_lattice", refuse)
+    with pytest.raises(CapExceeded, match="8388607 points to count"):
+        next(enumerate_mto1(make_field(2, 23), 1, 1, limit=1))
+
+
 def test_enumerate_rejects_m_above_the_group_order(f13, monkeypatch):
     # no map of F_13* is 13-to-1; the stream used to walk all 3*10^6 maps
     from cyclomap import search

@@ -155,8 +155,8 @@ def test_classify_wrapped_matches_direct_evaluation():
 
 @pytest.mark.parametrize("q", [16, 17])
 def test_classify_wrapped_matches_direct_evaluation_at_the_byte_limit(q):
-    # q^2 - 1 = 255 is the largest group whose fiber table is packed bytes;
-    # 288 is counted into a list.  Random h leave no valid m here, so maps
+    # q^2 - 1 = 255 is the largest group whose fiber table has one-byte
+    # lanes; 288 has two-byte lanes.  Random h leave no valid m here, so maps
     # with y*h(y) = c + y^k + y^-k on the circle (k = 1 for q = 16, 2 for
     # q = 17) add valid m with a nonempty exceptional set: x^(q-1) sends
     # q-1 points to each y, and y^k + y^-k pairs y with 1/y and, for
@@ -213,7 +213,7 @@ def _check_g_against_recount(wm) -> int:
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 251, 256])
 def test_classify_unit_mapping_matches_a_pointwise_recount(q):
-    # g's fiber table is packed bytes up to N = q+1 = 252 and a list at 257.
+    # g's fiber table is packed bytes up to N = q+1 = 252, two-byte lanes at 257.
     # h = 1 makes g = x^r, which has a valid m.  With 2^a the largest power
     # of 2 dividing N and k = 2^a, x*h(x) = c + x^k + x^-k on U (c outside
     # GF(q)) makes g = (c + t)^(q-1), one-to-one in t = x^k + x^-k in GF(q):
