@@ -6,10 +6,11 @@ points form the exceptional set.  `classify_pairs`, `classify_callable`,
 `classify_polynomial` and `branch_map_valid_ms` count preimages directly
 (the oracle).  A branch map's points are counted in one place,
 `_fiber_sizes`, into a table of fiber sizes by image exponent, summed from
-packed per-step counts in lanes sized from the group order, for every
-group of at most 2^22 points.  `branch_map_valid_ms`, the oracle of
-every sweep, and `_counted_report`, the counting report, both read that
-table; every report is filled from one fiber-size histogram.
+packed per-step counts in lanes sized from the group order, one block per
+image coset above one-byte lanes, for every group of at most 2^22 points.
+`branch_map_valid_ms`, the oracle of every sweep, and `_counted_report`,
+the counting report, both read that table; every report is filled from
+one fiber-size histogram.
 `classify_branch_map` is exact from residue classes in O(L), L = index *
 lcm of the branch multiplicities, and counts no point; it is
 differentially tested against the counting report, which
@@ -115,38 +116,49 @@ def classify_callable(fn: Callable[[int], int], domain, order_key=None) -> Mto1R
     return classify_pairs(((x, fn(x)) for x in domain), order_key)
 
 
+# lane width in bits -> the array typecode of that width
+_LANE_CODES = {8 * array(c).itemsize: c for c in "LIHB"}
+
+
+def _little(lanes: array) -> array:
+    """lanes with their bytes in little-endian order, as packed ints hold them."""
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
 class _StepStore(dict):
-    """(N, ell) -> (lane width in bits, lane typecode, steps) for a group of
-    order N at index ell.  A lane is the narrowest array item that holds N,
-    the largest fiber.  steps[j] is 0 until `walk` packs the counts of the
-    step ell*j mod N, taken by a coset whose exponent is j (mod s).  `lanes`
-    counts the lanes of the steps held, never more than `_MAX_RESIDUES`."""
+    """(N, ell) -> (lane width in bits, steps) for a group of order N at
+    index ell; a lane is the narrowest array item that holds N, the largest
+    fiber.  steps[j] is 0 until `walk` packs the step ell*j mod N, taken by
+    a coset whose exponent is j (mod s).  `lanes` counts the lanes held,
+    never more than `_MAX_RESIDUES`."""
 
     lanes = 0
 
-    def __missing__(self, key: tuple[int, int]) -> tuple[int, str, list[int]]:
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, list[int]]:
         N, ell = key
         _check_cap(N, "points to count")
-        code = next(c for c in "BHIL" if N >> 8 * array(c).itemsize == 0)
-        self[key] = entry = (8 * array(code).itemsize, code, [0] * (N // ell))
+        self[key] = entry = (min(w for w in _LANE_CODES if N >> w == 0), [0] * (N // ell))
         return entry
 
     def walk(self, N: int, ell: int, j: int) -> int:
-        """Step ell*j mod N packed, from its s points: lane e counts the
-        t < s with t*ell*j = e (mod N).  If it would take the store past
-        `_MAX_RESIDUES` lanes, every table is emptied first."""
-        if self.lanes + N > _MAX_RESIDUES:
-            for _, _, steps in self.values():
-                steps[:] = [0] * len(steps)
+        """The step's counts from its s points, in one block of `_fiber_sizes`:
+        lane (t*j mod s) * gap counts the t < s there, gap = ell in the one
+        block of a byte table and 1 in a wider one.  Every table is emptied
+        first if the store would pass `_MAX_RESIDUES` lanes."""
+        width, steps = self[N, ell]
+        s = N // ell
+        gap = ell if width == 8 else 1
+        if self.lanes + s * gap > _MAX_RESIDUES:
+            for _, held in self.values():
+                held[:] = [0] * len(held)
             self.lanes = 0
-        _, code, steps = self[N, ell]
-        counts = array(code, [0]) * N
-        for t in range(N // ell):
-            counts[t * ell * j % N] += 1
-        if sys.byteorder == "big":  # lanes are packed little-endian
-            counts.byteswap()
-        steps[j] = packed = int.from_bytes(counts, "little")
-        self.lanes += N
+        counts = array(_LANE_CODES[width], [0]) * (s * gap)
+        for t in range(s):
+            counts[t * j % s * gap] += 1
+        steps[j] = packed = int.from_bytes(_little(counts), "little")
+        self.lanes += s * gap
         return packed
 
 
@@ -157,28 +169,43 @@ def _fiber_sizes(bm: BranchMap) -> bytes | array:
     """sizes[e] = how many group points bm sends to exponent e, for e < N;
     the only code that counts a branch map's points.
 
-    Coset i sends its s points to start + t*step (mod N), t < s, with
-    start = i*r_i + log a_i and step = ell*r_i mod N.  The table is the sum
-    over the cosets of the step's packed counts (`_StepStore`) shifted by
-    start mod N lanes, with the lanes past N folded back once; no fiber
-    exceeds N, so no lane carries.  It is bytes for one-byte lanes, an
-    array above; a group of more than `_MAX_RESIDUES` points is refused.
+    Coset i sends its s points to start + t*ell*r_i (mod N), t < s, with
+    start = i*r_i + log a_i: into the exponents start + ell*u of one image
+    coset.  Each coset adds its step's packed counts (`_StepStore`) into a
+    block, shifted by its start there; each block folds its lanes past its
+    end back once, and no lane carries, as no fiber exceeds N.  A byte
+    table (N <= 255) is one block of N lanes by exponent.  A wider one has
+    one block of s lanes per image coset, so a map moves O(N) lanes for any
+    ell, and is copied into an array by exponent.  A group of more than
+    `_MAX_RESIDUES` points is refused.
     """
     decomp = bm.decomp
     N, ell, s = decomp.ctx.order, decomp.index, decomp.coset_size
-    width, code, steps = _STEPS[N, ell]
-    total = i = 0
+    width, steps = _STEPS[N, ell]
+    i = 0
     # starts as eval_exp takes them, not from bm._offsets, which the criteria read
-    for r, la in zip(bm.exponents, bm.log_scales):
-        total += (steps[r % s] or _STEPS.walk(N, ell, r % s)) << width * ((i * r + la) % N)
-        i += 1
-    fold = width * N
-    table = ((total & ((1 << fold) - 1)) + (total >> fold)).to_bytes(fold // 8, "little")
     if width == 8:
-        return table
-    sizes = array(code, table)
-    if sys.byteorder == "big":
-        sizes.byteswap()
+        total = 0
+        for r, la in zip(bm.exponents, bm.log_scales):
+            total += (steps[r % s] or _STEPS.walk(N, ell, r % s)) << 8 * ((i * r + la) % N)
+            i += 1
+        return ((total & ((1 << 8 * N) - 1)) + (total >> 8 * N)).to_bytes(N, "little")
+    blocks = [0] * ell  # block c, lane u: exponent c + ell*u
+    for r, la in zip(bm.exponents, bm.log_scales):
+        u, c = divmod((i * r + la) % N, ell)
+        blocks[c] += (steps[r % s] or _STEPS.walk(N, ell, r % s)) << width * u
+        i += 1
+    fold = width * s
+    mask = (1 << fold) - 1
+    table = b"".join([((b & mask) + (b >> fold)).to_bytes(fold // 8, "little") for b in blocks])
+    lanes = _little(array(_LANE_CODES[width], table))
+    sizes = lanes[:]
+    if s < ell:  # copy along the shorter side
+        for u in range(s):
+            sizes[u * ell:(u + 1) * ell] = lanes[u::s]
+    else:
+        for c in range(ell):
+            sizes[c::ell] = lanes[c * s:(c + 1) * s]
     return sizes
 
 

@@ -183,13 +183,15 @@ def test_oracle_matches_an_eval_recount(small_branch_maps):
 @pytest.mark.parametrize("p, n", [(2, 8), (257, 1), (2, 12), (8191, 1), (2, 16), (65537, 1)])
 def test_packed_oracle_at_the_byte_limit(p, n):
     # a lane holds N, the largest fiber: one byte up to N = 255, two up to
-    # 65535, four at 65536; at each N, ell = 1 and r = 0 fill one lane with N
+    # 65535, four at 65536; at each N, ell = 1 and r = 0 fill one lane with N.
+    # Wider tables keep a block per image coset and copy the blocks out along
+    # the shorter side, by coset for ell <= s and by position for s < ell.
     ctx = multiplicative_group(make_field(p, n))
     N = ctx.order
     lane = 1 if N <= 255 else 2 if N <= 65535 else 4
     rng = SplitMix64(N)
     wide = N >= 4095  # fewer maps, each counted at N points
-    for ell in [e for e in divisors(N) if e <= 16] if wide else divisors(N):
+    for ell in [e for e in divisors(N) if e <= 16 or N // e <= 2] if wide else divisors(N):
         dec = decompose(ctx, ell)
         s = dec.coset_size
         maps = [((5,) * ell, (0,) * ell), ((5,) * ell, (N,) * ell)]
@@ -222,9 +224,8 @@ def test_step_store_empties_its_tables_at_the_lane_cap(monkeypatch):
     for r in range(1, 71):
         bm = BranchMap(dec, log_scales=[r], exponents=[r])
         sizes = _fiber_sizes(bm)
-        held = sum(n * (len(steps) - steps.count(0))
-                   for (n, _), (_, _, steps) in mto1._STEPS.items())
-        assert held == mto1._STEPS.lanes <= _MAX_RESIDUES
+        (width, steps), = mto1._STEPS.values()  # one block of N lanes per step at ell = 1
+        assert width == 16 and N * (len(steps) - steps.count(0)) == mto1._STEPS.lanes <= _MAX_RESIDUES
         if r % 23 == 1:
             recount = Counter(map(bm.eval, ctx))
             assert {ctx.element(e): c for e, c in enumerate(sizes) if c} == recount
