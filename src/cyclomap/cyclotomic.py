@@ -163,32 +163,25 @@ class Polynomial:
         return not self.coeffs
 
     def eval(self, x: int) -> int:
-        """f(x), summed over the nonzero terms in ascending degree.
+        """f(x): the nonzero terms c_e*x^e, added by one `Field.sum`.
 
-        Where the field's exp/log tables exist, each term c_e*x^e is one
-        lookup in the log domain, exp[(log c_e + e*log x) mod (q-1)], so
-        the only field operation per term is the addition."""
+        Where the field's exp/log tables exist, each term is one lookup in
+        the log domain, exp[(log c_e + e*log x) mod (q-1)]."""
         coeffs = self.coeffs
         if not coeffs:
             return 0
         if x == 0:
             return coeffs[0]
         F = self.field
-        add = F.add
-        acc = 0
         order = F.q - 1
         tables = F._tables()
         if tables is not None:
             exp, log = tables
             lx = log[x]
-            for e in self._support:
-                acc = add(acc, exp[(log[coeffs[e]] + lx * e) % order])
-            return acc
+            return F.sum([exp[(log[coeffs[e]] + lx * e) % order] for e in self._support])
         mul, exp_at = F.mul, F.exp_at
         lx = F.dlog(x)
-        for e in self._support:
-            acc = add(acc, mul(coeffs[e], exp_at((lx * e) % order)))
-        return acc
+        return F.sum([mul(coeffs[e], exp_at((lx * e) % order)) for e in self._support])
 
     def scale(self, c: int) -> "Polynomial":
         F = self.field

@@ -525,6 +525,31 @@ class Field:
             (x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b))
         )
 
+    def sum(self, elements) -> int:
+        """The sum of the elements, 0 for none, reduced once: a prime field
+        reduces the integer sum, characteristic 2 xors, and an odd extension
+        field adds digit columns, or with its tables keeps the running sum
+        as a log, one Zech lookup per term."""
+        if self.n == 1:
+            return sum(elements) % self.p
+        if self.p == 2:
+            acc = 0
+            for b in elements:
+                acc ^= b
+            return acc
+        if self._log is None and not self._scalar_tables():
+            return self.from_coeffs(map(sum, zip(*map(self.coeffs, elements))))
+        exp, log, zech, order = self._exp, self._log, self._zech, self.q - 1
+        acc = -1  # log of the running sum; -1 while it is 0
+        for b in elements:
+            if b:
+                if acc < 0:
+                    acc = log[b]
+                else:
+                    z = zech[(log[b] - acc) % order]
+                    acc = -1 if z < 0 else (acc + z) % order
+        return 0 if acc < 0 else exp[acc]
+
     def neg(self, a: int) -> int:
         if self.n == 1:
             return (-a) % self.p

@@ -208,17 +208,36 @@ def criterion_wrapped(wm: WrappedMap, m: int, ell: int | None = None) -> Criteri
 
 def _xrh_branch_map(field: Field, r: int, h: Polynomial, ell: int) -> BranchMap:
     """x^r h(x^s), s = (q-1)/ell, as the index-ell branch map of F_q*: x = g^k
-    has x^s = zeta^(k mod ell) with zeta = g^s, so branch i is (h(zeta^i), r)."""
+    has x^s = zeta^(k mod ell) with zeta = g^s, so branch i is (h(zeta^i), r).
+
+    Where the field's tables exist, h is evaluated in exponents: term e at
+    zeta^i is exp[(log c_e + s*i*e) mod (q-1)], one `Field.sum` adds the
+    terms, and the map takes log h(zeta^i) from the table as branch i's
+    log; no branch constant is formed and no discrete log is taken.
+    """
     N = field.q - 1
     if ell < 1 or N % ell:
         raise IndexNotDividingOrder(f"{ell} does not divide {N}")
-    branches = []
-    for zeta_i in subgroup_of_order(field, ell):
-        val = h.eval(zeta_i)
+    decomp = CosetDecomposition(multiplicative_group(field), ell)
+    tables = field._tables()
+    if tables is None:
+        branches = []
+        for zeta_i in subgroup_of_order(field, ell):
+            val = h.eval(zeta_i)
+            if val == 0:
+                raise RootOnUnitCircle("h vanishes on the subgroup", point=zeta_i)
+            branches.append((val, r))
+        return BranchMap(decomp, branches)
+    exp, log = tables
+    s = N // ell
+    terms = [(log[h.coeffs[e]], s * e) for e in h._support]
+    logs = []
+    for i in range(ell):
+        val = field.sum([exp[(lc + i * se) % N] for lc, se in terms])
         if val == 0:
-            raise RootOnUnitCircle("h vanishes on the subgroup", point=zeta_i)
-        branches.append((val, r))
-    return BranchMap(CosetDecomposition(multiplicative_group(field), ell), branches)
+            raise RootOnUnitCircle("h vanishes on the subgroup", point=exp[s * i % N])
+        logs.append(log[val])
+    return BranchMap(decomp, log_scales=logs, exponents=[r] * ell)
 
 
 def criterion_xrh(field: Field, r: int, h: Polynomial, ell: int, m: int) -> CriterionVerdict:

@@ -480,7 +480,8 @@ def _dense_eval(poly, x):
     return acc
 
 
-@pytest.mark.parametrize("p, n, samples", [(2, 5, None), (5, 2, None), (2, 20, 30)])
+@pytest.mark.parametrize("p, n, samples", [(2, 5, None), (5, 2, None), (3, 4, None), (97, 1, None),
+                                          (2, 20, 30)])
 def test_eval_over_the_nonzero_terms_matches_a_dense_sum(p, n, samples):
     # GF(2^20) with log_threshold=0 never builds tables: its logs are
     # Pohlig-Hellman and its products polynomial

@@ -369,6 +369,26 @@ def test_log_domain_eval_matches_untabled_eval(p, n):
     assert D._log is None
 
 
+@pytest.mark.parametrize("p,n,threshold", [
+    (13, 1, None), (2, 6, None), (3, 4, None), (7, 2, None), (3, 4, 0), (2, 6, 0)])
+def test_sum_is_a_left_fold_of_add(p, n, threshold):
+    # threshold 0 never builds tables: an odd extension field adds by digits
+    F = make_field(p, n) if threshold is None else make_field(p, n, log_threshold=threshold)
+    if threshold is None:
+        F._load_tables()
+    rng = SplitMix64(1000 * p + n)
+    assert F.sum([]) == F.sum(iter(())) == 0
+    for _ in range(300):
+        pool = [rng.randrange(F.q) for _ in range(1 + rng.randrange(4))]
+        pool += [0, F.neg(pool[0])]  # zeros, and partial sums that cancel
+        xs = [pool[rng.randrange(len(pool))] for _ in range(rng.randrange(12))]
+        acc = 0
+        for x in xs:
+            acc = F.add(acc, x)
+        assert F.sum(xs) == F.sum(iter(xs)) == acc, xs
+    assert (F._log is None) == (threshold == 0)
+
+
 # -- bounded primality -------------------------------------------------------------
 
 # Field orders of the goldens, the acceptance suite and the benchmark workloads

@@ -424,10 +424,11 @@ def test_criterion_wrapped_unit_paths_agree_with_oracle_path():
 def test_unit_circle_paths_evaluate_h_once_per_point(monkeypatch):
     # f's index-(q+1) branch map is the only evaluation of h on the circle:
     # criterion_wrapped builds it at most once per call, and not at all when
-    # no path reads it
+    # no path reads it.  Building it adds h's terms at each subgroup point
+    # with one Field.sum, so the sums count the points evaluated
     evals = []
-    real = Polynomial.eval
-    monkeypatch.setattr(Polynomial, "eval", lambda self, x: evals.append(1) or real(self, x))
+    real = Field.sum
+    monkeypatch.setattr(Field, "sum", lambda self, xs: evals.append(1) or real(self, xs))
 
     def count(call, *args):
         evals.clear()
@@ -451,6 +452,59 @@ def test_unit_circle_paths_evaluate_h_once_per_point(monkeypatch):
                 with pytest.raises(IndexNotDividingOrder, match=f"^3 does not divide {q + 1}$"):
                     criterion_wrapped(wm, m, 3)
                 assert evals == []
+
+
+def _element_branch_map(F, r, h, ell):
+    """f's index-ell map from h's values as field elements, one log each."""
+    return BranchMap(CosetDecomposition(multiplicative_group(F), ell),
+                     [(h.eval(z), r) for z in subgroup_of_order(F, ell)])
+
+
+def _first_root(F, h, ell):
+    return next((z for z in subgroup_of_order(F, ell) if h.eval(z) == 0), None)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 16, 32])
+def test_xrh_branch_map_matches_the_element_construction(q):
+    # the table path reads h's logs in exponents; its twin field with
+    # log_threshold=0 (same modulus and generator, so the same logs) has
+    # no tables and takes the element path
+    F = ext_field_for(q)
+    D = make_field(F.p, F.n, log_threshold=0)
+    rng = SplitMix64(q)
+    for ell in (e for e in divisors(F.q - 1) if e <= 64):
+        for j in range(4):
+            r = rng.randrange(2 * F.q) - F.q // 2
+            degree = (0, 1, 1 + rng.randrange(12), 1 + rng.randrange(12))[j]
+            coeffs = [rng.randrange(F.q) if rng.randrange(3) else 0 for _ in range(degree)]
+            coeffs.append(1 + rng.randrange(F.q - 1))
+            built = []
+            for G in (F, D) if ell <= 8 else (F,):
+                h = Polynomial(G, coeffs)
+                root = _first_root(G, h, ell)
+                if root is not None:
+                    with pytest.raises(RootOnUnitCircle, match="^h vanishes on the subgroup$") as exc:
+                        unitary._xrh_branch_map(G, r, h, ell)
+                    assert exc.value.point == root
+                    continue
+                got = unitary._xrh_branch_map(G, r, h, ell)
+                want = _element_branch_map(G, r, h, ell)
+                assert (got.exponents, got.log_scales) == (want.exponents, want.log_scales)
+                assert got.exponents == (r,) * ell
+                built.append(got.log_scales)
+            assert len(set(built)) <= 1  # both paths read the same logs
+        # h with two roots on the subgroup reports the first, in subgroup order
+        if ell >= 2:
+            a = rng.randrange(ell - 1)
+            b = a + 1 + rng.randrange(ell - 1 - a)
+            for G in (F, D) if ell <= 8 else (F,):
+                zs = list(subgroup_of_order(G, ell))
+                h = (Polynomial.from_terms(G, {1: 1, 0: G.neg(zs[b])})
+                     * Polynomial.from_terms(G, {1: 1, 0: G.neg(zs[a])}))
+                with pytest.raises(RootOnUnitCircle, match="^h vanishes on the subgroup$") as exc:
+                    unitary._xrh_branch_map(G, 1, h, ell)
+                assert exc.value.point == zs[a] == _first_root(G, h, ell)
+    assert D._log is None
 
 
 def test_permutation_monomial(f13):
