@@ -42,6 +42,7 @@ from .notation import (
 _LAZY = {
     "search": ("SweepSpec", "differential_verify", "enumerate_mto1"),
     "unitary": (
+        "FAMILY_TURNS",
         "check_unit_index",
         "classify_unit_mapping",
         "classify_wrapped",
@@ -336,11 +337,8 @@ def _cmd_unit_family(args, registry):
     fam = args.family.upper()
     F = ext_field_for(args.q)
     unit = unit_circle(F, args.q)
-    eps_exp = None
-    if fam == "CTKUV":
-        eps_exp = (args.q + 1) // 3
-    elif fam in ("CBU", "CB0", "CTAB", "CTA"):
-        eps_exp = (args.q + 1) // 2
+    turns = FAMILY_TURNS.get(fam)
+    eps_exp = (args.q + 1) // turns if turns else None
     params = {}
     for name in inspect.signature(construct).parameters:
         value = getattr(args, name)

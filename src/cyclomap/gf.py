@@ -3,11 +3,13 @@
 Field elements are plain ints: the base-p encoding of the coefficient
 vector, c0 + c1*p + ... + c_{n-1}*p^(n-1); prime fields store the residue
 itself.  A Field owns its modulus, a primitive generator and, at desk
-scale, full exp/log tables, so multiplicative arithmetic reduces to table
-lookups, and so does addition in odd extension fields (a Zech table).
-Without tables, multiplication is polynomial arithmetic and discrete logs
-are Pohlig-Hellman over the prime factors of q - 1.  Primality is proven,
-never assumed: Miller-Rabin where it is deterministic, Pocklington above.
+scale, full exp/log tables, built when the field is made (at most 4096
+elements) or when a walk first needs them.  Multiplicative arithmetic is
+then table lookups, and so is addition in odd extension fields (a Zech
+table).  Without tables, multiplication is polynomial arithmetic and
+discrete logs are Pohlig-Hellman over the prime factors of q - 1.
+Primality is proven, never assumed: Miller-Rabin where it is
+deterministic, Pocklington above.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .errors import (
 
 #: Largest field order for which a field uses exp/log tables.
 LOG_TABLE_LIMIT = 1 << 22
-#: Largest field order whose tables a scalar operation (mul, pow, exp_at,
-#: dlog, ...) builds on first use; larger fields build them only for a
-#: function that walks the field.
+#: Largest field order whose tables are built when the field is made;
+#: larger fields build them only for a function that walks the field.
 _SCALAR_TABLE_LIMIT = 1 << 12
 
 
@@ -335,20 +336,19 @@ class Field:
     """GF(p^n) with a pinned modulus and primitive generator.
 
     Its modulus, generator and arithmetic never change after construction.
-    Fields of order at most ``log_threshold`` use exp/log tables, built
-    once and only when needed: by the first scalar operation on fields of
-    order at most 4096, and otherwise by the first function that walks the
-    field (``_load_tables``).  Until then, and always on larger fields,
-    arithmetic is polynomial and logs are Pohlig-Hellman, with baby-step
-    giant-step in each prime-order subgroup; those baby tables are built
-    on first use too.  ``has_log_table`` reports whether the field uses
-    tables, not whether they exist yet.  Odd-characteristic extension fields
-    (p odd, n > 1) build a Zech table with them, Z(k) = log(1 + g^k), so
-    that once the tables exist a sum is g^(log a + Z(log b - log a)) and a
-    negation g^(log a + (q-1)/2); until then, and on every other field,
-    addition is digit arithmetic.  Safe to share between threads: two
-    threads that race on a first use both build the same tables and one
-    copy is kept.
+    Fields of order at most ``log_threshold`` use exp/log tables: fields of
+    order at most 4096 build them when they are made, larger ones when a
+    function first walks the field (``_load_tables``).  Until then, and
+    always on fields above the threshold, arithmetic is polynomial and logs
+    are Pohlig-Hellman, with baby-step giant-step in each prime-order
+    subgroup; those baby tables are built on first use.  ``has_log_table``
+    reports whether the field uses tables, not whether they exist yet.
+    Odd-characteristic extension fields (p odd, n > 1) build a Zech table
+    with them, Z(k) = log(1 + g^k), so that once the tables exist a sum is
+    g^(log a + Z(log b - log a)) and a negation g^(log a + (q-1)/2); until
+    then, and on every other field, addition is digit arithmetic.  Safe to
+    share between threads: two threads whose walks race to build the
+    tables both build the same ones and one copy is kept.
     """
 
     __slots__ = (
@@ -380,6 +380,8 @@ class Field:
         else:
             self.generator = generator
             self._check_generator_order()
+        if self._use_tables and self.q <= _SCALAR_TABLE_LIMIT:
+            self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
@@ -410,20 +412,11 @@ class Field:
                     f"generator has order dividing (q-1)/{f}, not q-1"
                 )
 
-    def _load_tables(self) -> bool:
+    def _load_tables(self):
         """Build the exp/log tables if this field uses them and they do not
-        exist yet; False when the field uses no tables.  A function that
-        walks the field calls this first."""
-        if not self._use_tables:
-            return False
-        if self._log is None:
+        exist yet.  A function that walks the field calls this first."""
+        if self._use_tables and self._log is None:
             self._build_tables()
-        return True
-
-    def _scalar_tables(self) -> bool:
-        """Build the tables for a scalar operation on a field small enough
-        that they pay at once; whether they exist now."""
-        return self.q <= _SCALAR_TABLE_LIMIT and self._load_tables()
 
     def _build_tables(self):
         q, g = self.q, self.generator
@@ -515,7 +508,7 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._log is not None or self._scalar_tables():
+        if self._log is not None:
             if a == 0 or b == 0:
                 return a or b
             log, order = self._log, self.q - 1
@@ -537,7 +530,7 @@ class Field:
             for b in elements:
                 acc ^= b
             return acc
-        if self._log is None and not self._scalar_tables():
+        if self._log is None:
             return self.from_coeffs(map(sum, zip(*map(self.coeffs, elements))))
         exp, log, zech, order = self._exp, self._log, self._zech, self.q - 1
         acc = -1  # log of the running sum; -1 while it is 0
@@ -555,7 +548,7 @@ class Field:
             return (-a) % self.p
         if self.p == 2:
             return a
-        if a and (self._log is not None or self._scalar_tables()):
+        if a and self._log is not None:
             return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
         return self.from_coeffs((-x) % self.p for x in self.coeffs(a))
 
@@ -565,14 +558,14 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None or self._scalar_tables():
+        if self._log is not None:
             return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._log is not None or self._scalar_tables():
+        if self._log is not None:
             return self._exp[(-self._log[a]) % (self.q - 1)]
         return self._pow_raw(a, self.q - 2)
 
@@ -587,7 +580,7 @@ class Field:
             if e == 0:
                 return 1
             raise DivisionByZero("negative power of zero")
-        if self._log is not None or self._scalar_tables():
+        if self._log is not None:
             return self._exp[(self._log[a] * e) % (self.q - 1)]
         if e < 0:
             return self._pow_raw(self.inv(a), -e)
@@ -595,7 +588,7 @@ class Field:
 
     def exp_at(self, k: int) -> int:
         """generator ** k."""
-        if self._log is not None or self._scalar_tables():
+        if self._log is not None:
             return self._exp[k % (self.q - 1)]
         return self.pow(self.generator, k)
 
@@ -603,7 +596,7 @@ class Field:
         """Exponent k in [0, q-2] with generator**k == a; a must be nonzero."""
         if a == 0:
             raise ZeroArgument("discrete log of zero")
-        if self._log is not None or self._scalar_tables():
+        if self._log is not None:
             return self._log[a]
         return self._dlog_pohlig_hellman(a)
 
@@ -658,9 +651,9 @@ class Field:
         raise ZeroArgument("element not generated; inconsistent field state")
 
     def _tables(self):
-        """(exp, log) when the tables exist or a scalar operation may build
-        them, else None: for callers that keep operands as logs."""
-        if self._log is not None or self._scalar_tables():
+        """(exp, log) when the tables exist, else None: for callers that
+        keep operands as logs."""
+        if self._log is not None:
             return self._exp, self._log
         return None
 

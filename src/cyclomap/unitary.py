@@ -494,6 +494,9 @@ def family_t5(q: int, r: int, a: int) -> FamilyResult:
 
 # The named families; family_<id> (lower case) constructs each one.
 _FAMILY_IDS = ("CBU", "CB0", "CTAB", "CTA", "CTKUV", "B1", "B2", "B3", "T4", "T5")
+# `e` in a family's constants is the unit-circle step (q+1)/k, k given here:
+# a third of the circle for CTKUV, a half for the other families that use it.
+FAMILY_TURNS = {"CTKUV": 3, "CBU": 2, "CB0": 2, "CTAB": 2, "CTA": 2}
 
 
 def family_function(family_id: str):

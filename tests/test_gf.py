@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomap import make_field, residue_progression_relation, solve_diophantine
-from cyclomap.cyclotomic import Polynomial
+from cyclomap import gf, make_field, residue_progression_relation, solve_diophantine
+from cyclomap.cyclotomic import Polynomial, multiplicative_group
 from cyclomap.errors import (
     CapExceeded,
     DivisibilityViolation,
@@ -184,18 +184,16 @@ def _non_x_generator(p, n):
 @pytest.mark.parametrize("p,n,non_x", [
     (31, 1, False), (2, 9, False), (3, 5, False), (2, 9, True), (3, 5, True),
 ])
-def test_tables_built_on_first_use_match_raw_powers(p, n, non_x):
+def test_tables_built_at_construction_match_raw_powers(p, n, non_x):
     base = make_field(p, n)
     gen = _non_x_generator(p, n) if non_x else None
-    F = Field(p, n, base.modulus, gen)  # uncached, so no tables yet
-    assert F.has_log_table and F._log is None
+    F = Field(p, n, base.modulus, gen)  # uncached, so its tables are its own
     assert (F.generator == p) is (n > 1 and not non_x)
     rng = SplitMix64(p * 100 + n)
     for k in [0, 1, F.q - 2] + [rng.randrange(F.q - 1) for _ in range(200)]:
         x = F._pow_raw(F.generator, k)
         assert F.exp_at(k) == x
         assert F.dlog(x) == k
-    assert F._log is not None
 
 
 def test_field_above_threshold_never_builds_tables():
@@ -216,6 +214,30 @@ def test_scalar_operations_build_tables_only_on_small_fields():
     assert F.has_log_table and F._log is None
     F._load_tables()
     assert F._log is not None and F.exp_at(1000) == x and F.dlog(x) == 1000
+
+
+@pytest.mark.parametrize("p,n,threshold", [(2, 12, None), (2, 12, 1 << 10), (3, 8, None)])
+def test_only_fields_of_at_most_4096_elements_build_tables_when_made(p, n, threshold, monkeypatch):
+    # GF(2^12) has 4096 elements, the largest order whose tables come with
+    # the field; GF(3^8) has 6561, so scalar operations leave it untabled
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    kw = {} if threshold is None else {"log_threshold": threshold}
+    F = make_field(p, n, **kw)
+    made = Field(p, n, F.modulus, **kw)  # uncached
+    tabled = F.has_log_table and F.q <= 4096
+    assert (F._log is not None) is tabled and (made._log is not None) is tabled
+    twin = make_field(p, n, log_threshold=0)
+    rng = SplitMix64(F.q)
+    for _ in range(100):
+        a, b = rng.randrange(F.q), 1 + rng.randrange(F.q - 1)
+        xs = [rng.randrange(F.q) for _ in range(rng.randrange(8))]
+        e, k = rng.randrange(2 * F.q) - F.q, rng.randrange(F.q - 1)
+        results = [(G.add(a, b), G.sum(xs), G.neg(a), G.sub(a, b), G.mul(a, b), G.inv(b),
+                    G.div(a, b), G.pow(b, e), G.exp_at(k), G.dlog(b)) for G in (F, twin)]
+        assert results[0] == results[1], (a, b, xs, e, k)
+    assert (F._log is not None) is tabled and twin._log is None
+    assert len(set(multiplicative_group(F))) == F.q - 1  # a walk
+    assert (F._log is not None) is F.has_log_table
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (13, 1), (3, 4), (2, 6), (5, 3), (7, 2), (2, 10)])
