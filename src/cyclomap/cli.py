@@ -32,6 +32,7 @@ from .notation import (
     parse_config,
     parse_element,
     parse_generator,
+    parse_modulus,
     parse_polynomial,
 )
 
@@ -108,7 +109,7 @@ def _report_lines(field, domain: str, report):
 
 def _load_field(args, registry):
     modulus = (
-        [int(c) for c in args.modulus.split(",")]
+        parse_modulus(args.modulus)
         if getattr(args, "modulus", None)
         else None
     )

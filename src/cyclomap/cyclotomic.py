@@ -138,21 +138,27 @@ class Polynomial:
 
     @classmethod
     def from_terms(cls, field: Field, terms: dict) -> "Polynomial":
+        return cls._from_pairs(field, terms.items())
+
+    @classmethod
+    def _from_pairs(cls, field: Field, pairs) -> "Polynomial":
+        """The sum of the terms c*x^e over (e, c) pairs: each folded
+        exponent's coefficients are added by one `Field.sum`."""
         q = field.q
-        folded: dict[int, int] = {}
-        for e, c in terms.items():
+        folded: dict[int, list] = {}
+        for e, c in pairs:
             if c == 0:
                 continue
             if e < 0:
                 raise ValueError("polynomial exponents must be non-negative")
             if e >= q:
                 e = 1 + (e - 1) % (q - 1)
-            folded[e] = field.add(folded.get(e, 0), c)
+            folded.setdefault(e, []).append(c)
         size = max(folded) + 1 if folded else 0
         _check_cap(size, "dense polynomial coefficients")
         coeffs = [0] * size
-        for e, c in folded.items():
-            coeffs[e] = c
+        for e, cs in folded.items():
+            coeffs[e] = field.sum(cs)
         return cls(field, coeffs)
 
     @property
@@ -206,16 +212,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         F = self.field
-        terms: dict[int, int] = {}
-        for e1, c1 in enumerate(self.coeffs):
-            if not c1:
-                continue
-            for e2, c2 in enumerate(other.coeffs):
-                if not c2:
-                    continue
-                e = e1 + e2
-                terms[e] = F.add(terms.get(e, 0), F.mul(c1, c2))
-        return Polynomial.from_terms(F, terms)
+        mul, b = F.mul, other.coeffs
+        return Polynomial._from_pairs(F, ((e1 + e2, mul(c1, b[e2]))
+                                         for e1, c1 in enumerate(self.coeffs) if c1
+                                         for e2 in other._support))
 
     def __pow__(self, e: int) -> "Polynomial":
         """self**e.  A monomial c*x^k is c^e*x^(k*e), folded by `from_terms`
@@ -446,17 +446,11 @@ class BranchMap:
             raise ConstraintViolated("expansion needs positive branch exponents")
         F = ctx.field
         F._load_tables()  # ell^2 terms, each a scalar product
-        N = ctx.order
         ell = self.decomp.index
         s = self.decomp.coset_size
-        terms: dict[int, int] = {}
-        for i, (a, r) in enumerate(self.branches):
-            for j in range(ell):
-                w = F.exp_at((-i * j * s) % N) if ell > 1 else 1
-                e = r + j * s
-                coef = F.mul(a, w)
-                terms[e] = F.add(terms.get(e, 0), coef)
-        poly = Polynomial.from_terms(F, terms)
+        poly = Polynomial._from_pairs(F, (
+            (r + j * s, F.mul(a, F.exp_at(-i * j * s)))
+            for i, (a, r) in enumerate(self.branches) for j in range(ell)))
         if scaled:
             poly = poly.scale(F.inv(F.from_int(ell)))
         return poly

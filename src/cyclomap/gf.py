@@ -336,19 +336,20 @@ class Field:
     """GF(p^n) with a pinned modulus and primitive generator.
 
     Its modulus, generator and arithmetic never change after construction.
-    Fields of order at most ``log_threshold`` use exp/log tables: fields of
-    order at most 4096 build them when they are made, larger ones when a
-    function first walks the field (``_load_tables``).  Until then, and
-    always on fields above the threshold, arithmetic is polynomial and logs
-    are Pohlig-Hellman, with baby-step giant-step in each prime-order
-    subgroup; those baby tables are built on first use.  ``has_log_table``
+    Four operations hold the arithmetic, each with a table path and a raw
+    path: `sum`, `mul`, `pow` and `dlog`; `add`, `sub`, `neg`, `inv`, `div`
+    and `exp_at` are defined from them.  Fields of order at most
+    ``log_threshold`` use exp/log tables, built when the field is made
+    (order at most 4096) or when a function first walks it
+    (``_load_tables``).  Until then, and always above the threshold,
+    products and powers are polynomial arithmetic, sums digit arithmetic
+    and logs Pohlig-Hellman, with baby-step giant-step in each prime-order
+    subgroup (those baby tables are built on first use).  ``has_log_table``
     reports whether the field uses tables, not whether they exist yet.
-    Odd-characteristic extension fields (p odd, n > 1) build a Zech table
-    with them, Z(k) = log(1 + g^k), so that once the tables exist a sum is
-    g^(log a + Z(log b - log a)) and a negation g^(log a + (q-1)/2); until
-    then, and on every other field, addition is digit arithmetic.  Safe to
-    share between threads: two threads whose walks race to build the
-    tables both build the same ones and one copy is kept.
+    Odd-characteristic extension fields (p odd, n > 1) also build a Zech
+    table, Z(k) = log(1 + g^k), which only `sum` reads.  Safe to share
+    between threads: two threads whose walks race to build the tables both
+    build the same ones and one copy is kept.
     """
 
     __slots__ = (
@@ -504,19 +505,7 @@ class Field:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return a or b
-            log, order = self._log, self.q - 1
-            z = self._zech[(log[b] - log[a]) % order]
-            return 0 if z < 0 else self._exp[(log[a] + z) % order]
-        return self.from_coeffs(
-            (x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b))
-        )
+        return self.sum((a, b))
 
     def sum(self, elements) -> int:
         """The sum of the elements, 0 for none, reduced once: a prime field
@@ -544,13 +533,7 @@ class Field:
         return 0 if acc < 0 else exp[acc]
 
     def neg(self, a: int) -> int:
-        if self.n == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        if a and self._log is not None:
-            return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
-        return self.from_coeffs((-x) % self.p for x in self.coeffs(a))
+        return self.mul(a, self.p - 1)  # the code p - 1 is -1 in every field
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -565,9 +548,7 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._log is not None:
-            return self._exp[(-self._log[a]) % (self.q - 1)]
-        return self._pow_raw(a, self.q - 2)
+        return self.pow(a, -1)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -582,14 +563,10 @@ class Field:
             raise DivisionByZero("negative power of zero")
         if self._log is not None:
             return self._exp[(self._log[a] * e) % (self.q - 1)]
-        if e < 0:
-            return self._pow_raw(self.inv(a), -e)
-        return self._pow_raw(a, e % (self.q - 1) if self.q > 2 else e)
+        return self._pow_raw(a, e % (self.q - 1))  # a^(q-1) = 1
 
     def exp_at(self, k: int) -> int:
         """generator ** k."""
-        if self._log is not None:
-            return self._exp[k % (self.q - 1)]
         return self.pow(self.generator, k)
 
     def dlog(self, a: int) -> int:
@@ -659,7 +636,9 @@ class Field:
 
     @property
     def has_log_table(self) -> bool:
-        """Whether this field uses exp/log tables (built on first use)."""
+        """Whether this field uses exp/log tables: a field of at most 4096
+        elements builds them when it is made, a larger one when a walk first
+        needs them."""
         return self._use_tables
 
     # -- misc -------------------------------------------------------------------

@@ -121,7 +121,8 @@ _LANE_CODES = {8 * array(c).itemsize: c for c in "LIHB"}
 
 
 def _little(lanes: array) -> array:
-    """lanes with their bytes in little-endian order, as packed ints hold them."""
+    """lanes between host and little-endian byte order, the order packed
+    ints hold them in: a byteswap on big-endian hosts, its own inverse."""
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes

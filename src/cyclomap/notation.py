@@ -276,17 +276,26 @@ def field_from_id(field_id: str, registry: dict[str, str] | None = None,
     key_id = str(p) if n == 1 else f"{p}^{n}"
     if registry:
         if modulus is None and f"{key_id}.modulus" in registry:
-            modulus = [int(c) for c in registry[f"{key_id}.modulus"].split(",")]
+            modulus = parse_modulus(registry[f"{key_id}.modulus"])
         if generator is None and f"{key_id}.generator" in registry:
             generator = parse_generator(registry[f"{key_id}.generator"])
     return make_field(p, n, modulus=modulus, generator=generator)
 
 
+def parse_modulus(text: str) -> list[int]:
+    """A modulus given as comma coefficients, constant term first."""
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise ParseError(f"modulus {text!r} is not comma-separated integers") from None
+
+
 def parse_generator(text: str):
     """A generator given as an element code or as '[c0,c1,...]'."""
     text = text.strip()
-    if not text.startswith("["):
-        return int(text)
-    if not text.endswith("]"):
+    if text.startswith("[") and not text.endswith("]"):
         raise ParseError(f"generator {text!r} has no closing ']'")
-    return [int(c) for c in text[1:-1].split(",")]
+    try:
+        return [int(c) for c in text[1:-1].split(",")] if text.startswith("[") else int(text)
+    except ValueError:
+        raise ParseError(f"generator {text!r} is not an integer or '[c0,c1,...]'") from None

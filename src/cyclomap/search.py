@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import time
 from array import array
 from dataclasses import dataclass, field as dc_field, replace
@@ -29,6 +28,7 @@ from .gf import Field
 # binding, as bench/tracer.py does, sees every case the criterion decides.
 from .mto1 import (
     CRITERIA,
+    _little,
     branch_map_valid_ms,
     classify_callable,
     criterion_2to1_any_l,
@@ -74,9 +74,7 @@ def _pack(values) -> int:
     """values, each below 2^64, as one int: value i in bits 128i..128i+63."""
     lanes = array("Q", bytes(16 * len(values)))
     lanes[::2] = array("Q", values)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return int.from_bytes(lanes.tobytes(), "little")
+    return int.from_bytes(_little(lanes).tobytes(), "little")
 
 
 def _splitmix_columns(start: int, n: int, words: int) -> list:
@@ -98,10 +96,7 @@ def _splitmix_columns(start: int, n: int, words: int) -> list:
         z = (((start + t * _GAMMA) & _MASK64) * ones + ramp) & low
         z = (((z ^ (z >> 30)) & low) * _MIX1) & low
         z = (((z ^ (z >> 27)) & low) * _MIX2) & low
-        lanes = array("Q", (z ^ (z >> 31)).to_bytes(16 * n, "little"))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        columns.append(lanes[::2])
+        columns.append(_little(array("Q", (z ^ (z >> 31)).to_bytes(16 * n, "little")))[::2])
     return columns
 
 

@@ -410,6 +410,23 @@ def test_field_override_flags():
     assert code == 0 and json.loads(out)["modulus"] == [1, 1, 0, 1, 1, 0, 1]
 
 
+@pytest.mark.parametrize("argv,registry,bad", [
+    (["field-info", "--field", "13", "--modulus", "a,b"], None, "a,b"),
+    (["field-info", "--field", "13", "--generator", "abc"], None, "abc"),
+    (["field-info", "--field", "5^2", "--modulus", "1,,1"], None, "1,,1"),
+    (["field-info", "--field", "5^2"], "5^2.modulus = 2,x,1\n", "2,x,1"),
+], ids=["modulus", "generator", "empty-coefficient", "registry-modulus"])
+def test_a_non_integer_modulus_or_generator_is_a_parse_error(argv, registry, bad, tmp_path):
+    if registry:
+        cfg = tmp_path / "fields.cfg"
+        cfg.write_text(registry)
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and err.startswith("error: ") and repr(bad) in err, err
+    assert "invalid literal" not in err
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

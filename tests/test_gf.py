@@ -394,10 +394,12 @@ def test_log_domain_eval_matches_untabled_eval(p, n):
 @pytest.mark.parametrize("p,n,threshold", [
     (13, 1, None), (2, 6, None), (3, 4, None), (7, 2, None), (3, 4, 0), (2, 6, 0)])
 def test_sum_is_a_left_fold_of_add(p, n, threshold):
-    # threshold 0 never builds tables: an odd extension field adds by digits
+    # threshold 0 never builds tables: an odd extension field adds by digits,
+    # so the fold reference D.add stays digit arithmetic for the tabled F too
     F = make_field(p, n) if threshold is None else make_field(p, n, log_threshold=threshold)
     if threshold is None:
         F._load_tables()
+    D = make_field(p, n, log_threshold=0)
     rng = SplitMix64(1000 * p + n)
     assert F.sum([]) == F.sum(iter(())) == 0
     for _ in range(300):
@@ -406,9 +408,22 @@ def test_sum_is_a_left_fold_of_add(p, n, threshold):
         xs = [pool[rng.randrange(len(pool))] for _ in range(rng.randrange(12))]
         acc = 0
         for x in xs:
-            acc = F.add(acc, x)
+            acc = D.add(acc, x)
         assert F.sum(xs) == F.sum(iter(xs)) == acc, xs
-    assert (F._log is None) == (threshold == 0)
+    assert (F._log is None) == (threshold == 0) and D._log is None
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (13, 1)])
+def test_raw_pow_and_exp_at_reduce_any_exponent(p, n):
+    F, raw = make_field(p, n), make_field(p, n, log_threshold=0)
+    order = F.q - 1
+    for e in (-3 * order - 2, -order - 1, -order, -2, -1, 0, order + 5, 4 * order + 1):
+        assert raw.exp_at(e) == F.exp_at(e), e
+        for a in range(1, F.q):
+            assert raw.pow(a, e) == F.pow(a, e), (a, e)
+    for a in range(1, F.q):
+        assert raw.inv(a) == F.inv(a) and raw.neg(a) == F.neg(a), a
+    assert raw._log is None and F._log is not None
 
 
 # -- bounded primality -------------------------------------------------------------
