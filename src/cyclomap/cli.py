@@ -150,8 +150,7 @@ def _cmd_classify(args, registry):
 
 def _branch_map_from_args(args, registry):
     F = _load_field(args, registry)
-    decomp = CosetDecomposition(multiplicative_group(F), args.ell)
-    return F, BranchMap(decomp, parse_branches(args.branches, F))
+    return F, _params(args, ("bm",), args.command, lambda: F)[0]
 
 
 def _cmd_cyc_classify(args, registry):
@@ -223,72 +222,57 @@ def _verdict_exit(args, payload, verdict):
     return 0 if verdict.applicable else 2
 
 
-def _require(args, *names):
-    """Exit with a usage error when a flag the theorem reads is missing."""
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        raise CyclomapError(
-            f"crit --theorem {args.theorem} needs " + ", ".join(f"--{n}" for n in missing)
-        )
-
-
-# Arguments (without m) of the criteria that take no branch map, from flags.
-
-def _lift_args(args, registry):
-    _require(args, "field", "poly")
-    F = _load_field(args, registry)
-    return parse_polynomial(args.poly, F), F
-
-
-def _cor53_args(args, registry):
-    _require(args, "field", "ell", "a0", "a1", "r0", "r1")
-    F = _load_field(args, registry)
-    a0 = parse_element(args.a0, F)
-    a1 = parse_element(args.a1, F)
-    return F, args.ell, a0, a1, args.r0, args.r1
-
-
-def _cor56_args(args, registry):
-    _require(args, "q", "n", "ell")
-    return args.q, args.n, args.ell
-
-
-def _cor61_args(args, registry):
-    _require(args, "field", "g0", "g1", "r0", "r1")
-    F = _load_field(args, registry)
-    g0 = parse_polynomial(args.g0, F)
-    g1 = parse_polynomial(args.g1, F)
-    return F, g0, g1, args.r0, args.r1
-
-
-def _cor62_args(args, registry):
-    _require(args, "q", "n", "h0", "h1", "r0", "r1")
-    p, e = split_prime_power(args.q)
-    F = make_field(p, e * args.n)
-    h0 = parse_polynomial(args.h0, F)
-    h1 = parse_polynomial(args.h1, F)
-    return args.q, args.n, h0, h1, args.r0, args.r1
-
-
-_CRIT_ARGS = {
-    "lift": _lift_args,
-    "cor53": _cor53_args,
-    "cor56": _cor56_args,
-    "cor61": _cor61_args,
-    "cor62": _cor62_args,
+# The parameters before m of the theorems that take no branch map (the rest
+# take "bm").  A parameter reads the flag of its name, or needs the flags
+# _PARAM_FLAGS lists and reads the last.
+_CRIT_PARAMS = {
+    "lift": ("fn", "field"),
+    "cor53": ("field", "ell", "a0", "a1", "r0", "r1"),
+    "cor56": ("q", "n", "ell"),
+    "cor61": ("field", "g0", "g1", "r0", "r1"),
+    "cor62": ("q", "n", "h0", "h1", "r0", "r1"),
 }
+_PARAM_FLAGS = {"fn": ("field", "poly"), "bm": ("field", "ell", "branches")}
+
+
+def _params(args, names, usage, field, **parse):
+    """Values of the parameters `names`, once no flag they need is missing.
+    "field" reads as field(), in which elements, polynomials and "bm" (the
+    map of --ell and --branches) are parsed."""
+    flags = [flag for name in names for flag in _PARAM_FLAGS.get(name, (name,))]
+    missing = [f"--{flag}" for flag in dict.fromkeys(flags) if getattr(args, flag) is None]
+    if missing:
+        raise CyclomapError(f"{usage} needs " + ", ".join(missing))
+    F = field()
+    values = []
+    for name in names:
+        value = getattr(args, _PARAM_FLAGS.get(name, (name,))[-1])
+        if name == "field":
+            value = F
+        elif name == "bm":
+            decomp = CosetDecomposition(multiplicative_group(F), args.ell)
+            value = BranchMap(decomp, parse_branches(value, F))
+        elif name in ("a0", "a1", "a", "b"):
+            value = parse_element(value, F, **parse)
+        elif name in ("fn", "g0", "g1", "h0", "h1"):
+            value = parse_polynomial(value, F)
+        values.append(value)
+    return values
 
 
 def _cmd_crit(args, registry):
     entry = CRITERIA[args.theorem]
-    if args.theorem in _CRIT_ARGS:
-        fn_args = _CRIT_ARGS[args.theorem](args, registry)
-    else:
-        _require(args, "field", "ell", "branches")
-        _, bm = _branch_map_from_args(args, registry)
-        fn_args = (bm,)
+
+    def field():  # cor62's polynomials live in GF(q^n); cor56 reads no field
+        if args.theorem == "cor62":
+            p, e = split_prime_power(args.q)
+            return make_field(p, e * args.n)
+        return None if args.theorem == "cor56" else _load_field(args, registry)
+
+    fn_args = _params(args, _CRIT_PARAMS.get(args.theorem, ("bm",)),
+                      f"crit --theorem {args.theorem}", field)
     m = args.m if args.m is not None else entry.fixed_m or 2
-    verdict = entry.with_m()(*fn_args, m)
+    verdict = entry.fn(*fn_args, m)
     return _verdict_exit(args, {"theorem": args.theorem, "m": m}, verdict)
 
 
@@ -340,14 +324,9 @@ def _cmd_unit_family(args, registry):
     unit = unit_circle(F, args.q)
     turns = FAMILY_TURNS.get(fam)
     eps_exp = (args.q + 1) // turns if turns else None
-    params = {}
-    for name in inspect.signature(construct).parameters:
-        value = getattr(args, name)
-        if value is None:
-            raise CyclomapError(f"family {fam} needs --{name}")
-        if name in ("a", "b"):
-            value = parse_element(value, F, unit=unit, eps_exp=eps_exp)
-        params[name] = value
+    names = tuple(inspect.signature(construct).parameters)
+    params = dict(zip(names, _params(args, names, f"family {fam}", lambda: F,
+                                     unit=unit, eps_exp=eps_exp)))
     result = construct(**params)
     payload = {
         "family": fam,
@@ -451,8 +430,13 @@ def _add_field_opts(p, with_ell=False, with_branches=False):
         p.add_argument("--branches", required=True, help="a0:r0,a1:r1,...")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line through run, not a usage block
+        raise CyclomapError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="cyclomap",
         description="piecewise-monomial maps on finite-field cosets: "
         "classification, criteria, families, and differential verification",
@@ -578,29 +562,23 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    text = ""
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-    try:
+        args = build_parser().parse_args(argv)
+        text = ""
+        if args.config:
+            try:
+                with open(args.config) as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CyclomapError(f"cannot read config: {exc}") from None
         # one dict holds the sweep keys and the field registry entries
         return _HANDLERS[args.command](args, parse_config(text))
+    except SystemExit as exc:  # --help, after printing its text
+        return 1 if exc.code else 0
     except HypothesisError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2
-    except CyclomapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CyclomapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

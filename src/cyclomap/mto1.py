@@ -482,8 +482,10 @@ def _def_mto1_on_values(values, m: int) -> bool:
     return list(Counter(values).values()).count(m) == n // m
 
 
-def criterion_2to1_any_l(bm: BranchMap) -> CriterionVerdict:
+def criterion_2to1_any_l(bm: BranchMap, m: int = 2) -> CriterionVerdict:
     """2-to-1 on the group for any number of branches."""
+    if m != 2:
+        return _na("m-out-of-range")
     ell = bm.decomp.index
     N = bm.decomp.ctx.order
     d = bm.multiplicities
@@ -551,8 +553,10 @@ def criterion_equal_d(bm: BranchMap, m: int) -> CriterionVerdict:
 # oracle in the test suite.
 # ---------------------------------------------------------------------------
 
-def cor32(bm: BranchMap) -> CriterionVerdict:
+def cor32(bm: BranchMap, m: int = 2) -> CriterionVerdict:
     """2-to-1 with two branches."""
+    if m != 2:
+        return _na("m-out-of-range")
     if bm.decomp.index != 2:
         raise WrongIndex("cor32 needs 2 branches")
     d0, d1 = bm.multiplicities
@@ -564,8 +568,10 @@ def cor32(bm: BranchMap) -> CriterionVerdict:
     return _no("neither 2-to-1 clause holds")
 
 
-def cor33(bm: BranchMap) -> CriterionVerdict:
+def cor33(bm: BranchMap, m: int = 3) -> CriterionVerdict:
     """3-to-1 with two branches (group order + 1 >= 13)."""
+    if m != 3:
+        return _na("m-out-of-range")
     if bm.decomp.index != 2:
         raise WrongIndex("cor33 needs 2 branches")
     if bm.decomp.ctx.order + 1 < 13:
@@ -577,8 +583,10 @@ def cor33(bm: BranchMap) -> CriterionVerdict:
     return _no("3-to-1 clause fails")
 
 
-def cor42(bm: BranchMap) -> CriterionVerdict:
+def cor42(bm: BranchMap, m: int = 2) -> CriterionVerdict:
     """2-to-1 with three branches (group order + 1 >= 7)."""
+    if m != 2:
+        return _na("m-out-of-range")
     if bm.decomp.index != 3:
         raise WrongIndex("cor42 needs 3 branches")
     if bm.decomp.ctx.order + 1 < 7:
@@ -596,8 +604,10 @@ def cor42(bm: BranchMap) -> CriterionVerdict:
     return _no("no 2-to-1 clause holds")
 
 
-def cor43(bm: BranchMap) -> CriterionVerdict:
+def cor43(bm: BranchMap, m: int = 3) -> CriterionVerdict:
     """3-to-1 with three branches (group order + 1 >= 19)."""
+    if m != 3:
+        return _na("m-out-of-range")
     if bm.decomp.index != 3:
         raise WrongIndex("cor43 needs 3 branches")
     if bm.decomp.ctx.order + 1 < 19:
@@ -790,18 +800,10 @@ def _parity_clauses(d0: int, d1: int, r1: int, s: int, m: int, order: int) -> Cr
 class Criterion(NamedTuple):
     """How the CLI and the sweeps call one closed-form criterion."""
 
-    fn: Callable[..., CriterionVerdict]
-    fixed_m: int | None = None  # the one m that fn decides; fn takes no m
+    fn: Callable[..., CriterionVerdict]  # called as fn(*args, m)
+    fixed_m: int | None = None  # the one m that fn decides, and its m's default
     sweep: bool = False  # `verify` may hold it against the oracle
     equal_gcds: bool = False  # random sweeps draw exponents with equal gcds
-
-    def with_m(self, fn=None) -> Callable[..., CriterionVerdict]:
-        """fn (default self.fn) called as fn(*args, m).  A fixed-m theorem
-        answers m-out-of-range at any other m, without a call of fn."""
-        fn, fixed_m = fn or self.fn, self.fixed_m
-        if fixed_m is None:
-            return fn
-        return lambda *args: fn(*args[:-1]) if args[-1] == fixed_m else _na("m-out-of-range")
 
 
 # Name -> criterion, in the order `crit --theorem` and `verify --criterion`
@@ -826,17 +828,10 @@ CRITERIA = {
 
 
 def specialized_criterion(variant: str, *args, **kwargs) -> CriterionVerdict:
-    """Dispatch to one of the corollaries cor32 ... cor62, named in any case.
-
-    A fixed-m corollary (cor32, cor33, cor42, cor43) given an m after the
-    map, positionally or as m=, is called through `Criterion.with_m`, so
-    it answers m-out-of-range at any other m.
-    """
+    """Call one of the corollaries cor32 ... cor62, named in any case, as
+    CRITERIA[name].fn(*args, **kwargs).  A fixed-m corollary (cor32, cor33,
+    cor42, cor43) answers m-out-of-range at any m but its own."""
     name = variant.lower()
     if not name.startswith("cor") or name not in CRITERIA:
         raise ValueError(f"unknown criterion variant {variant!r}")
-    criterion = CRITERIA[name]
-    if criterion.fixed_m is None or ("m" not in kwargs and len(args) < 2):
-        return criterion.fn(*args, **kwargs)
-    *args, m = (*args, kwargs.pop("m")) if "m" in kwargs else args
-    return criterion.with_m(lambda: criterion.fn(*args, **kwargs))(m)
+    return CRITERIA[name].fn(*args, **kwargs)

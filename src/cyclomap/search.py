@@ -319,7 +319,7 @@ def _run_chunk(args, criterion_fn=None) -> MismatchReport:
     spec, lo, hi = args
     field = field_from_id(spec.field_id)
     entry = CRITERIA[spec.criterion]
-    fn = criterion_fn or entry.with_m(globals()[entry.fn.__name__])
+    fn = criterion_fn or globals()[entry.fn.__name__]
     decomp = CosetDecomposition(multiplicative_group(field), spec.ell)
     report = MismatchReport(
         criterion=spec.criterion,

@@ -174,16 +174,27 @@ def test_exit_codes():
      "--mode", "random", "--samples", "0"],
     ["verify", "--criterion", "l2", "--field", "13", "--ell", "2",
      "--mode", "random", "--samples", "-3"],
+    ["classify"],
+    ["crit", "--theorem", "nope"],
+    ["verify", "--jobs", "x"],
+    ["relation", "--ell", "0", "--branches", "g^5:13", "--i", "0", "--j", "1"],
 ])
 def test_incomplete_or_out_of_range_input_is_a_usage_error(argv):
     # each of these once escaped as a traceback (or, for m=0, scanned the
     # whole space for nothing; an unclosed generator list failed in int(),
     # and a generator outside the field was kept and printed; an empty
     # window failed inside islice or silently swept nothing; a random sweep
-    # of no samples reported "cases: 0")
+    # of no samples reported "cases: 0"; a flag argparse refused printed its
+    # usage block before the reason)
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_keeps_its_full_text_and_exit_0():
+    code, out, err = run_cli(["crit", "--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: cyclomap crit")
+    assert "--theorem" in out and out.count("\n") > 10
 
 
 _VERIFY_L2_F5 = ["verify", "--criterion", "l2", "--field", "5", "--ell", "2"]
@@ -724,9 +735,9 @@ def test_verify_config_with_unknown_criterion(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["--family", "xyz", "--q", "5"], "unknown family 'xyz'"),
-    (["--family", "cbu", "--q", "5", "--r", "1"], "family CBU needs --u"),
+    (["--family", "cbu", "--q", "5", "--r", "1"], "family CBU needs --u, --a"),
     (["--family", "B2", "--q", "5", "--ell", "2", "--r", "1", "--u", "1"],
-     "family B2 needs --v"),
+     "family B2 needs --v, --a"),
 ])
 def test_unit_family_usage_errors(argv, message):
     code, out, err = run_cli(["unit-family", *argv])

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import pathlib
@@ -807,6 +808,55 @@ def test_cor62_against_oracle():
         oracle = branch_map_valid_ms(bm)
         for m in range(1, F.q):
             assert cor62(5, 2, h0, h1, r0, r1, m).holds == (m in oracle)
+
+
+def _poly(text, p, n=1):
+    return parse_polynomial(text, make_field(p, n))
+
+
+def _f7_map(ell):
+    # GF(7) is below every q bound of cor33, cor42 and cor43
+    return _bm(make_field(7), ell, [(1, 1)] * ell)
+
+
+@pytest.mark.parametrize("fn, args, error, message", [
+    (cor32, lambda: (_f7_map(3),), WrongIndex, "cor32 needs 2 branches"),
+    (cor33, lambda: (_f7_map(3),), WrongIndex, "cor33 needs 2 branches"),
+    (cor42, lambda: (_f7_map(2),), WrongIndex, "cor42 needs 3 branches"),
+    (cor43, lambda: (_f7_map(2),), WrongIndex, "cor43 needs 3 branches"),
+    (cor53, lambda: (make_field(13), 3, 1, 1, 1, 2, 1), HypothesisViolated,
+     r"gcd\(r0, s\) must equal gcd\(r1, s\)"),
+    (cor54, lambda: (_bm(make_field(13), 2, [(1, 1), (1, 2)]),), UnequalGcds,
+     "branch multiplicities are not all equal"),
+    (cor55, lambda: (_bm(make_field(13), 2, [(1, 1), (1, 2)]), 1), HypothesisViolated,
+     r"every gcd\(r_i, s\) must be 1"),
+    (cor62, lambda: (5, 2, _poly("1", 13), _poly("1", 13), 1, 1, 1), HypothesisViolated,
+     r"polynomials must live in GF\(q\^n\)"),
+    (cor62, lambda: (2, 2, _poly("1", 2, 2), _poly("1", 2, 2), 1, 1, 1), HypothesisViolated,
+     "needs odd q"),
+    (cor62, lambda: (5, 2, _poly("0", 5, 2), _poly("1", 5, 2), 1, 1, 1), HypothesisViolated,
+     r"h_i\(\+-1\) must be a nonzero base-field value"),
+    (cor62, lambda: (5, 2, _poly("1", 5, 2), _poly("g", 5, 2), 1, 1, 1), HypothesisViolated,
+     r"h_i\(\+-1\) must be a nonzero base-field value"),
+])
+def test_corollary_guards_raise(fn, args, error, message):
+    with pytest.raises(error, match=message):
+        fn(*args())
+    fixed_m = CRITERIA[fn.__name__].fixed_m
+    if fixed_m is not None:
+        # another m is answered before the map's index, or q, is checked
+        bm, = args()
+        for m in (0, 1, fixed_m + 1, 7):
+            assert fn(bm, m) == (False, None, "m-out-of-range")
+
+
+@pytest.mark.parametrize("name", list(CRITERIA))
+def test_every_criterion_takes_m_last(name):
+    entry = CRITERIA[name]
+    *_, last = inspect.signature(entry.fn).parameters.values()
+    assert last.name == "m"
+    if entry.fixed_m is not None:
+        assert last.default == entry.fixed_m
 
 
 def test_specialized_dispatch(f13):
